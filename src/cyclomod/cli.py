@@ -19,7 +19,6 @@ precision can be set with the CYCLOMOD_PRECISION environment variable.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileio
@@ -128,10 +127,7 @@ def _session_config(args) -> GroupConfig:
     p = args.p if args.p is not None else 3
     n = args.n if args.n is not None else 1
     guard = args.guard if args.guard is not None else DEFAULT_GUARD
-    precision = args.precision
-    if precision is None:
-        env = os.environ.get("CYCLOMOD_PRECISION")
-        precision = int(env) if env else default_precision(n, guard)
+    precision = args.precision if args.precision is not None else default_precision(n, guard)
     return GroupConfig(p, n, precision, guard)
 
 
@@ -344,7 +340,11 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; usage errors exit EXIT_FAIL through _Parser.error.
+        return EXIT_PASS if exc.code in (0, None) else EXIT_FAIL
     try:
         if args.command == "cohomology":
             return _cmd_cohomology(args)

@@ -26,7 +26,7 @@ from .errors import PreconditionViolated
 
 DEFAULT_GUARD = 2
 
-#: Environment variable consulted by the CLI for a default precision.
+#: Environment variable that overrides the default precision (read only here).
 PRECISION_ENV_VAR = "CYCLOMOD_PRECISION"
 
 
@@ -48,7 +48,7 @@ def default_precision(n: int, guard: int = DEFAULT_GUARD) -> int:
     which covers every desk-scale computation in the test suite.
     """
     env = os.environ.get(PRECISION_ENV_VAR)
-    if env is not None:
+    if env:
         return int(env)
     return n + guard + 8
 

@@ -318,9 +318,9 @@ def j_module(cfg: GroupConfig, e: int) -> PresentedModule:
     """The submodule p^e Zp[G] + Zp N_G of the group ring.
 
     Presented on the generators m_t = p^e sigma^t (t = 0 .. p^n - 1)
-    followed by ng = N_G, with the relation lattice found by a
-    saturated solve inside the group ring.  Cached per (cfg, e): the
-    module is immutable and carries its own cohomology cache.
+    followed by ng = N_G, with relations synthesized from its model
+    inside the group ring.  Cached per (cfg, e): the module is
+    immutable and carries its own cohomology cache.
     """
     if e < 0:
         raise PreconditionViolated("exponent must be nonnegative")

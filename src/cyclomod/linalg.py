@@ -1,24 +1,24 @@
 """Matrix arithmetic over Z/p^N with valuation-aware elimination.
 
 Everything downstream (module normal forms, Tate groups, isomorphism
-searches) reduces to four primitives implemented here on numpy arrays:
+searches) reduces to a few primitives implemented here on numpy arrays:
 
 * smith: diagonalization D = U A V with unit-determinant transforms,
   pivots chosen by minimal p-valuation, ties broken in row-major order.
+  Callers ask only for the transforms they read, and may run it at a
+  raised precision with a lower zero ceiling (see smith()).
 * solve: particular solutions of A X = B mod p^N.
 * kernel_cols: generators of the congruence kernel {x : A x = 0 mod p^N}.
 * saturated_kernel_cols: generators of the p-adic kernel, i.e. the
   directions whose image vanishes identically rather than merely mod p^N.
-* exact_kernel_cols: the integer kernel of an exact integer matrix,
-  computed over Z with no modulus at all, for inputs whose entries are
-  genuine integers rather than truncated p-adic residues.
+* pivot_cols_mod_p / rank_mod_p: plain Gaussian elimination mod p.
 
-The distinction between the last two is what keeps truncated arithmetic
-honest.  A column of A that is genuinely zero over Zp shows up here as a
-diagonal slot with no pivot; a column that is merely divisible by a high
-power of p shows up as a pivot near the precision ceiling, and the guard
-band turns that into a PrecisionExhausted error instead of a silent
-misclassification.
+The distinction between the two kernels is what keeps truncated
+arithmetic honest.  A column of A that is genuinely zero over Zp shows
+up here as a diagonal slot with no pivot; a column that is merely
+divisible by a high power of p shows up as a pivot near the precision
+ceiling, and the guard band turns that into a PrecisionExhausted error
+instead of a silent misclassification.
 
 Arrays use int64 when p^N is small enough that intermediate products
 cannot overflow, and Python-integer object arrays otherwise.
@@ -126,14 +126,15 @@ class Smith:
 
     dvals lists the valuations of the pivot entries, nondecreasing, each
     strictly below the guard band.  Diagonal slots past len(dvals) are
-    exact zeros mod p^N.  left/right and their tracked inverses all have
-    unit determinant.
+    zeros at the elimination's ceiling.  left/right and their tracked
+    inverses all have unit determinant; a transform the caller did not
+    ask for is None.
     """
 
-    left: np.ndarray
-    left_inv: np.ndarray
-    right: np.ndarray
-    right_inv: np.ndarray
+    left: np.ndarray | None
+    left_inv: np.ndarray | None
+    right: np.ndarray | None
+    right_inv: np.ndarray | None
     dvals: list
     shape: tuple
 
@@ -147,19 +148,31 @@ class Smith:
         return d
 
 
-def smith(ctx: Context, a) -> Smith:
+def smith(
+    ctx: Context, a, rows: bool = True, cols: bool = True, ceiling: int | None = None
+) -> Smith:
     """Diagonalize over Z/p^N with minimal-valuation pivoting.
 
     Raises PrecisionExhausted when the best remaining pivot has a
     valuation in the guard band: at that point "tiny but nonzero" cannot
     be told apart from "zero at higher precision".
+
+    rows and cols say whether to keep the row transforms (left, left_inv)
+    and the column transforms (right, right_inv); skipping an unread
+    pair saves a square update per pivot.  Residues of valuation at or
+    above ceiling (default N) count as zero: a caller working at a raised
+    precision N on residues known mod p^N0 passes ceiling=N0 and guard
+    N - N0 + guard0, which keeps the guard band [N0 - guard0, N0).
     """
     a = mat(ctx, a).copy()
     m, n = a.shape
-    u, uinv = eye(ctx, m), eye(ctx, m)
-    v_, vinv = eye(ctx, n), eye(ctx, n)
+    # An unwanted transform is tracked as an empty slice, on which every
+    # update below is a no-op.
+    u, uinv = (eye(ctx, m), eye(ctx, m)) if rows else (zeros(ctx, m, 0), zeros(ctx, 0, m))
+    v_, vinv = (eye(ctx, n), eye(ctx, n)) if cols else (zeros(ctx, 0, n), zeros(ctx, n, 0))
     mod = ctx.modulus
     p = ctx.p
+    top = ctx.precision if ceiling is None else ceiling
     dvals: list = []
     k = 0
     pv = 0
@@ -170,7 +183,7 @@ def smith(ctx: Context, a) -> Smith:
         # Valuations never decrease under the row operations below, so
         # the scan can resume from the previous pivot's valuation.
         loc = None
-        while pv < ctx.precision:
+        while pv < top:
             nz = (sub % (p ** (pv + 1))) != 0
             if nz.any():
                 flat = int(np.argmax(nz))
@@ -182,7 +195,7 @@ def smith(ctx: Context, a) -> Smith:
         if pv >= ctx.guard_floor:
             raise PrecisionExhausted(
                 f"pivot valuation {pv} inside guard band "
-                f"[{ctx.guard_floor}, {ctx.precision})"
+                f"[{ctx.guard_floor}, {top})"
             )
         i, j = loc[0] + k, loc[1] + k
         if i != k:
@@ -214,6 +227,10 @@ def smith(ctx: Context, a) -> Smith:
             vinv[k, :] = (vinv[k, :] + matmul(ctx, q.reshape(1, -1), vinv[k + 1 :, :]).ravel()) % mod
         dvals.append(pv)
         k += 1
+    if not rows:
+        u = uinv = None
+    if not cols:
+        v_ = vinv = None
     return Smith(u, uinv, v_, vinv, dvals, (m, n))
 
 
@@ -253,7 +270,7 @@ def solve(ctx: Context, a, b, sm: Smith | None = None):
 def kernel_cols(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
     """Generators of the congruence kernel {x : A x = 0 mod p^N}."""
     if sm is None:
-        sm = smith(ctx, a)
+        sm = smith(ctx, a, rows=False)
     n = sm.shape[1]
     cols = []
     for j in range(n):
@@ -274,7 +291,7 @@ def saturated_kernel_cols(ctx: Context, a, sm: Smith | None = None) -> np.ndarra
     every pivot valuation is well below the ceiling).
     """
     if sm is None:
-        sm = smith(ctx, a)
+        sm = smith(ctx, a, rows=False)
     return sm.right[:, len(sm.dvals) :].copy()
 
 
@@ -293,6 +310,7 @@ def _xgcd(a: int, b: int) -> tuple:
     return old_r, old_x, old_y
 
 
+# Unused in the package; kept because perfbench/tracer.py looks it up by name.
 def exact_kernel_cols(a) -> np.ndarray:
     """Saturated integer kernel {x in Z^n : A x = 0} of an exact matrix.
 
@@ -339,18 +357,6 @@ def exact_kernel_cols(a) -> np.ndarray:
     return out
 
 
-def colspan_basis(ctx: Context, a) -> np.ndarray:
-    """A basis (at most min(m, n) columns) of the column span mod p^N."""
-    a = mat(ctx, a)
-    sm = smith(ctx, a)
-    cols = []
-    for j, d in enumerate(sm.dvals):
-        cols.append((sm.left_inv[:, j] * (ctx.p**d)) % ctx.modulus)
-    if not cols:
-        return zeros(ctx, a.shape[0], 0)
-    return np.stack(cols, axis=1)
-
-
 def invert(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
     a = mat(ctx, a)
     if a.shape[0] != a.shape[1]:
@@ -362,12 +368,13 @@ def invert(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
     return matmul(ctx, sm.right, sm.left)
 
 
-def rank_mod_p(p: int, a: np.ndarray) -> int:
-    """Rank of a matrix reduced mod p (plain Gaussian elimination)."""
+def pivot_cols_mod_p(p: int, a: np.ndarray) -> list:
+    """Pivot columns, left to right, of the row echelon form of A mod p."""
     b = (np.array(a, dtype=object) % p).astype(np.int64)
     m, n = b.shape
-    rank = 0
+    pivots: list = []
     for col in range(n):
+        rank = len(pivots)
         if rank == m:
             break
         piv = None
@@ -384,16 +391,13 @@ def rank_mod_p(p: int, a: np.ndarray) -> int:
         mask[rank] = False
         if mask.any():
             b[mask, :] = (b[mask, :] - np.outer(b[mask, col], b[rank, :])) % p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
-def mod_rows(a: np.ndarray, row_moduli) -> np.ndarray:
-    """Reduce each row mod its own modulus (canonical representatives)."""
-    out = a.copy()
-    for i, m in enumerate(row_moduli):
-        out[i, :] = out[i, :] % m
-    return out
+def rank_mod_p(p: int, a: np.ndarray) -> int:
+    """Rank of a matrix reduced mod p (plain Gaussian elimination)."""
+    return len(pivot_cols_mod_p(p, a))
 
 
 def is_zero(a: np.ndarray) -> bool:

@@ -4,18 +4,18 @@ A module is described by generators and L-linear relations.  Internally
 every module also carries a normalized coordinate model: a minimal list
 of Zp-coordinates, each either free or killed by an exact power of p,
 together with the matrix of the generator sigma in those coordinates.
-The model is computed once by Smith elimination of the expanded relation
-lattice and all subsequent computation (sums, kernels, quotients, fixed
-points, cohomology) happens at model scale.
+All computation (sums, kernels, quotients, fixed points, cohomology)
+happens at model scale.
 
-Two kinds of kernel appear and must not be confused.  Congruence kernels
-mod p^N pick up shadow directions of valuation N - d that do not come
-from actual p-adic kernel vectors; they are fine for solving linear
-systems but poison structural lattices.  Wherever a lattice feeds a
-normal form (relation lattices of submodules, numerators of cohomology
-groups) we therefore use saturated systems: the condition "lands in the
-lattice spanned by the torsion columns" is encoded with explicit p^d
-columns, and only the pivot-free directions of the Smith form are kept.
+A module given by a user presentation is normalized once, by Smith
+elimination of its expanded relation lattice.  Every derived module is
+built from a lattice in the model of an existing one: a submodule is
+(span of its generators' sigma-orbits + torsion lattice) / torsion
+lattice, eliminated at the ambient's model size; kernels and fixed
+points are submodules generated by saturated kernel vectors, found by
+keeping only the pivot-free directions of a Smith form, so congruence
+shadows of valuation N - d never enter a structural lattice.  Derived
+modules carry a relation list synthesized from their model.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .arith import GroupRingElement, sigma_power, zero_element
+from .arith import GroupRingElement, sigma_power
 from .config import GroupConfig
-from .errors import IllDefinedHom, PreconditionViolated
+from .errors import IllDefinedHom, PrecisionExhausted, PreconditionViolated
 
 __all__ = [
     "PresentedModule",
@@ -88,6 +88,14 @@ def _canon_vec(ctx: linalg.Context, v, moduli) -> tuple:
     return tuple(out)
 
 
+def _torsion_columns(ctx: linalg.Context, moduli) -> np.ndarray:
+    idx = [i for i, q in enumerate(moduli) if q is not None]
+    t = linalg.zeros(ctx, len(moduli), len(idx))
+    for c, i in enumerate(idx):
+        t[i, c] = moduli[i]
+    return t
+
+
 def _coerce_ring(cfg: GroupConfig, value) -> GroupRingElement:
     if isinstance(value, GroupRingElement):
         if value.cfg != cfg:
@@ -123,7 +131,6 @@ class PresentedModule:
         self.relations = tuple(rel_rows)
         self._act_cache: dict = {}
         self._tate_cache: dict = {}
-        self._exact_flag: bool | None = None
         if _internal is not None:
             self._model, self._proj, self._lift = _internal
         else:
@@ -132,26 +139,19 @@ class PresentedModule:
     # -- construction ------------------------------------------------
 
     def _normalize(self):
-        """Smith-reduce the expanded relation lattice to model coordinates."""
-        cfg = self.cfg
-        ctx = linalg.context_of(cfg)
-        d = cfg.order
+        """Smith-reduce the expanded relation lattice to model coordinates.
+
+        Relation row r contributes the columns of its shifts sigma^t r,
+        i.e. the regular matrices of its coefficients stacked by generator.
+        """
+        ctx = linalg.context_of(self.cfg)
+        d = self.cfg.order
         k = len(self.gen_names)
-        amb = k * d
-        cols = []
-        for row in self.relations:
-            for t in range(d):
-                col = [0] * amb
-                for g, coeff in enumerate(row):
-                    shifted = coeff * sigma_power(cfg, t)
-                    for s, c in enumerate(shifted.values):
-                        col[g * d + s] = (col[g * d + s] + c) % cfg.modulus
-                cols.append(col)
-        if cols:
-            rel = linalg.mat(ctx, np.array(cols, dtype=ctx.dtype).T)
-        else:
-            rel = linalg.zeros(ctx, amb, 0)
-        return _model_from_expanded(cfg, k, rel)
+        blocks = [np.vstack([c.regular_matrix() for c in row]) for row in self.relations if row]
+        rel = linalg.hstack(ctx, blocks) if blocks else linalg.zeros(ctx, k * d, 0)
+        # The block cyclic shift: sigma on the expanded coordinates.
+        shift = np.kron(np.eye(k, dtype=np.int64), np.roll(np.eye(d, dtype=np.int64), 1, axis=0))
+        return _quotient_model(ctx, rel, linalg.mat(ctx, shift))
 
     @classmethod
     def _from_model(cls, cfg: GroupConfig, model: _Model, names=None):
@@ -161,40 +161,17 @@ class PresentedModule:
         sigma-action rows and the torsion annihilators as relations.
         """
         ctx = linalg.context_of(cfg)
-        m = model.dim
-        d = cfg.order
+        m, d = model.dim, cfg.order
         if names is None:
             names = [f"x{i}" for i in range(m)]
-        rows = []
-        sig = sigma_power(cfg, 1)
-        for i in range(m):
-            row = []
-            for j in range(m):
-                coeff = zero_element(cfg)
-                if j == i:
-                    coeff = coeff + sig
-                c = int(model.sigma[j, i])
-                if c:
-                    row_adjust = GroupRingElement(cfg, [c] + [0] * (d - 1))
-                    coeff = coeff - row_adjust
-                row.append(coeff)
-            rows.append(tuple(row))
-        for i, mod in enumerate(model.moduli):
-            if mod is not None:
-                row = [zero_element(cfg) for _ in range(m)]
-                row[i] = GroupRingElement(cfg, [mod] + [0] * (d - 1))
-                rows.append(tuple(row))
-        proj = linalg.zeros(ctx, m, m * d)
-        power = linalg.eye(ctx, m)
-        for t in range(d):
-            for i in range(m):
-                proj[:, i * d + t] = power[:, i]
-            power = _canon_rows(ctx, linalg.matmul(ctx, model.sigma, power), model.moduli)
+        unit = linalg.eye(ctx, m)
+        proj = _orbits(ctx, model.sigma, [unit[:, i : i + 1] for i in range(m)], d)
+        proj = _canon_rows(ctx, proj, model.moduli)
         lift = linalg.zeros(ctx, m * d, m)
         for i in range(m):
             lift[i * d, i] = 1
-        obj = cls(cfg, names, rows, _internal=(model, proj, lift))
-        return obj
+        rows = _synthesized_relations(cfg, m, model, proj, lift)
+        return cls(cfg, names, rows, _internal=(model, proj, lift))
 
     # -- structure ---------------------------------------------------
 
@@ -238,52 +215,7 @@ class PresentedModule:
 
     def torsion_column_matrix(self) -> np.ndarray:
         """Columns p^d e_i for the torsion coordinates (the model lattice)."""
-        ctx = self.ctx
-        idx = [i for i, m in enumerate(self._model.moduli) if m is not None]
-        t = linalg.zeros(ctx, self.model_dim, len(idx))
-        for c, i in enumerate(idx):
-            t[i, c] = self._model.moduli[i]
-        return t
-
-    def _has_exact_model(self) -> bool:
-        """Whether the stored model is exact over Z, not only mod p^N.
-
-        True when, under the symmetric integer lift of the stored
-        residues, sigma maps the torsion lattice into itself exactly and
-        sigma^(p^n) - 1 lands in the torsion lattice exactly.  Free
-        modules and hand-built models qualify; models that came out of
-        mod-p^N elimination generally do not, and submodule relation
-        lattices inside them are computed by the congruence path
-        instead.
-        """
-        if self._exact_flag is None:
-            s = _centered_object(self.sigma_matrix, self.ctx.modulus)
-            m = self.model_dim
-            moduli = self.moduli
-            ok = True
-            for i in range(m):
-                if moduli[i] is None:
-                    continue
-                for j in range(m):
-                    if moduli[j] is None:
-                        if s[j, i] != 0:
-                            ok = False
-                    elif (int(moduli[i]) * int(s[j, i])) % int(moduli[j]):
-                        ok = False
-            if ok and m:
-                power = np.eye(m, dtype=object)
-                for _ in range(self.cfg.order):
-                    power = power @ s
-                for i in range(m):
-                    for j in range(m):
-                        diff = int(power[j, i]) - (1 if i == j else 0)
-                        if moduli[j] is None:
-                            if diff:
-                                ok = False
-                        elif diff % int(moduli[j]):
-                            ok = False
-            self._exact_flag = ok
-        return self._exact_flag
+        return _torsion_columns(self.ctx, self.moduli)
 
     def act_matrix(self, elt) -> np.ndarray:
         """Matrix of multiplication by a group-ring element on the model."""
@@ -354,36 +286,17 @@ class PresentedModule:
         return f"PresentedModule({self.describe()})"
 
 
-def _ambient_sigma(ctx: linalg.Context, cfg: GroupConfig, k: int) -> np.ndarray:
-    d = cfg.order
-    s = linalg.zeros(ctx, k * d, k * d)
-    for g in range(k):
-        for t in range(d):
-            s[g * d + (t + 1) % d, g * d + t] = 1
-    return s
+def _quotient_model(ctx: linalg.Context, lattice: np.ndarray, sigma: np.ndarray, ceiling=None):
+    """Normalize Z^a / (column span of lattice), sigma acting on Z^a.
 
-
-def _model_from_expanded(cfg: GroupConfig, k: int, rel_cols: np.ndarray):
-    """Normalize the quotient of Z^(k*d) by an expanded relation lattice.
-
-    The column span of rel_cols must be closed under the block cyclic
-    shift.  Returns (model, proj, lift) with proj @ lift = identity.
+    The span must be sigma-stable.  Returns (model, proj, lift) with
+    proj @ lift = identity; pivots at or above ceiling count as zeros.
     """
-    ctx = linalg.context_of(cfg)
-    amb = k * cfg.order
-    sm = linalg.smith(ctx, rel_cols)
+    sm = linalg.smith(ctx, lattice, cols=False, ceiling=ceiling)
     units = sum(1 for v in sm.dvals if v == 0)
-    moduli = []
-    for i in range(units, amb):
-        if i < len(sm.dvals):
-            moduli.append(cfg.p ** sm.dvals[i])
-        else:
-            moduli.append(None)
-    proj = sm.left[units:, :].copy()
-    lift = sm.left_inv[:, units:].copy()
-    s_amb = _ambient_sigma(ctx, cfg, k)
-    sigma = linalg.matmul(ctx, linalg.matmul(ctx, proj, s_amb), lift)
-    sigma = _canon_rows(ctx, sigma, moduli)
+    moduli = [ctx.p**v for v in sm.dvals[units:]] + [None] * (lattice.shape[0] - len(sm.dvals))
+    proj, lift = sm.left[units:, :], sm.left_inv[:, units:]
+    sigma = _canon_rows(ctx, linalg.matmul(ctx, linalg.matmul(ctx, proj, sigma), lift), moduli)
     return _Model(tuple(moduli), sigma), proj, lift
 
 
@@ -638,25 +551,93 @@ def _centered_object(a, modulus: int) -> np.ndarray:
     return out
 
 
-def _shift_index(d: int, k: int, t: int) -> np.ndarray:
-    """Row permutation acting as sigma^t on expanded (generator, power) coords."""
-    idx = np.empty(k * d, dtype=np.intp)
-    for g in range(k):
-        for u in range(d):
-            idx[g * d + u] = g * d + ((u - t) % d)
-    return idx
+def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarray:
+    """The columns x, sigma x, ..., sigma^(d-1) x for each x in turn."""
+    out = linalg.zeros(ctx, sigma.shape[0], len(columns) * d)
+    for j, col in enumerate(columns):
+        for t in range(d):
+            out[:, j * d + t] = col.ravel()
+            col = linalg.matmul(ctx, sigma, col)
+    return out
+
+
+def _is_module(ctx: linalg.Context, sigma: np.ndarray, moduli, d: int) -> bool:
+    """Whether sigma maps the torsion lattice into itself and sigma^d = 1."""
+    m = len(moduli)
+    image = linalg.matmul(ctx, sigma, _torsion_columns(ctx, moduli))
+    if not linalg.is_zero(_canon_rows(ctx, image, moduli)):
+        return False
+    power, base, e = linalg.eye(ctx, m), sigma, d
+    while e:
+        if e & 1:
+            power = linalg.matmul(ctx, power, base)
+        base, e = linalg.matmul(ctx, base, base), e >> 1
+    return linalg.is_zero(_canon_rows(ctx, (power - linalg.eye(ctx, m)) % ctx.modulus, moduli))
+
+
+def _exact_lift(ambient: PresentedModule, elements, precision: int):
+    """(context, sigma, [element orbits | torsion columns]) at the given
+    precision, from a model of the ambient that is a module there.
+
+    The centered lift of the ambient's model qualifies when it passes
+    _is_module, as permutation and hand-built models do.  Otherwise the
+    ambient's presentation, whose relations are exact integers, is
+    normalized again at that precision plus the guard, and the elements
+    are carried over through their group-ring coefficients.
+    """
+    cfg = ambient.cfg
+    src = linalg.Context(cfg.p, precision, 0)
+    sigma = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
+    moduli = ambient.moduli
+    cols = [linalg.mat(src, _centered_object(e.coords, cfg.modulus)) for e in elements]
+    if not _is_module(src, sigma, moduli, cfg.order):
+        fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
+        rows = [
+            [_centered_object(c.values, cfg.modulus).tolist() for c in r]
+            for r in ambient.relations
+        ]
+        lifted = PresentedModule(fine, ambient.gen_names, rows)
+        src, sigma, moduli, cols = lifted.ctx, lifted.sigma_matrix, lifted.moduli, []
+        for e in elements:
+            amb = linalg.matmul(ambient.ctx, ambient._lift, e.column()).ravel()
+            amb = _centered_object(amb, cfg.modulus).tolist()
+            coeffs = [amb[g : g + cfg.order] for g in range(0, len(amb), cfg.order)]
+            cols.append(lifted.element(coeffs).column())
+    orbits = _orbits(src, sigma, cols, cfg.order)
+    return src, sigma, linalg.hstack(src, [orbits, _torsion_columns(src, moduli)])
+
+
+def _divide_rows(ctx: linalg.Context, a: np.ndarray, dvals, out: linalg.Context) -> np.ndarray:
+    """Divide row i by p^dvals[i], then reduce into out; rows must be divisible."""
+    scale = np.array([ctx.p**v for v in dvals], dtype=a.dtype).reshape(-1, 1)
+    return linalg.mat(out, (a // scale) % out.modulus)
 
 
 def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> Submodule:
     """The L-submodule generated by the given elements.
 
-    The result is presented on one generator per element.  When the
-    ambient model is exact over Z, the relation lattice is the exact
-    integer kernel of the expanded-image matrix, so the presentation is
-    honest at every precision.  Otherwise the lattice is found by a
-    saturated solve mod p^N and then closed under the block shift;
-    without the closure the quotient's sigma can fail to have finite
-    order at the stated precision, which corrupts everything downstream.
+    With ev the m x (k p^n) matrix of the elements' sigma-orbits and T
+    the ambient's torsion columns, the submodule is (span(ev) + T) / T
+    inside the ambient model, so the work is done at model size m:
+
+    1. [ev | T] is eliminated once, on a model of the ambient that is a
+       module at a raised precision N' (see _exact_lift), counting
+       residues of valuation >= N as zeros (the config precision policy).
+       The pivot columns of U^-1 scaled by p^d_i form a basis B of the
+       lattice, and dividing the rows of U [ev | T] by p^d_i gives the
+       B-coordinates of ev and T; at N itself the division would lose
+       up to g = max d_i digits.
+    2. A Smith form of T's coordinates gives the moduli, with sigma on
+       the submodule proj2 (B^-1 sigma B) lift2 and proj = proj2 E, E the
+       coordinates of ev.  The submodule's torsion lies in the ambient's,
+       so its exponents are at most the ambient's largest, e; pivots
+       above e are zeros, and the transforms lose up to e digits more.
+       Hence N' = N + g + e.
+    3. lift, the right inverse of proj, inverts proj on columns that are
+       independent mod p.
+
+    The result is presented on one generator per element, with the
+    relations of _synthesized_relations.
     """
     cfg = ambient.cfg
     ctx = ambient.ctx
@@ -669,67 +650,76 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
             raise ValueError("generating elements must lie in the ambient module")
     if names is None:
         names = [f"y{j}" for j in range(len(elements))]
-    m = ambient.model_dim
     k = len(elements)
-    tc = ambient.torsion_column_matrix()
-    if ambient._has_exact_model():
-        sig = _centered_object(ambient.sigma_matrix, ctx.modulus)
-        ev_obj = np.zeros((m, k * d), dtype=object)
-        for j, e in enumerate(elements):
-            col = _centered_object(list(e.coords), ctx.modulus)
-            for t in range(d):
-                ev_obj[:, j * d + t] = col
-                col = sig @ col
-                for i, mod_i in enumerate(ambient.moduli):
-                    if mod_i is not None:
-                        col[i] %= int(mod_i)
-        stacked = np.concatenate([ev_obj, -np.array(tc, dtype=object)], axis=1)
-        rel = linalg.mat(
-            ctx, linalg.exact_kernel_cols(stacked)[: k * d, :] % ctx.modulus
+    ev = _orbits(ctx, ambient.sigma_matrix, [e.column() for e in elements], d)
+
+    # Step 1.  The probe at N finds g and raises on guard-band pivots;
+    # the eliminations below keep the guard floor N - guard.
+    stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
+    g = max(linalg.smith(ctx, stacked, rows=False, cols=False).dvals, default=0)
+    e_max = max(ambient.torsion_invariants(), default=0)
+    src, sigma_src, lattice = _exact_lift(ambient, elements, cfg.precision + g + e_max)
+    hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
+    sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
+    s = len(sm.dvals)
+    left = sm.left[:s, :]
+    basis = sm.left_inv[:, :s] * np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
+    mid = linalg.Context(cfg.p, cfg.precision + e_max, cfg.guard + e_max)
+    image = linalg.matmul(hi, left, linalg.matmul(hi, sigma_src, basis % hi.modulus))
+    sigma_b = _divide_rows(hi, image, sm.dvals, mid)
+    coords = _divide_rows(hi, linalg.matmul(hi, left, lattice), sm.dvals, mid)
+
+    # Step 2.
+    inner, proj2, _ = _quotient_model(mid, coords[:, k * d :], sigma_b, ceiling=e_max + 1)
+    sigma = linalg.mat(ctx, inner.sigma % ctx.modulus)
+    model = _Model(inner.moduli, _canon_rows(ctx, sigma, inner.moduli))
+    if not _is_module(ctx, model.sigma, model.moduli, d):
+        raise PrecisionExhausted(
+            f"submodule does not close up as a module at precision {cfg.precision}; "
+            "raise the working precision"
         )
-        ev = linalg.mat(ctx, ev_obj % ctx.modulus)
-    else:
-        ev = linalg.zeros(ctx, m, k * d)
-        for j, e in enumerate(elements):
-            col = e.column()
-            for t in range(d):
-                ev[:, j * d + t] = col.ravel()
-                col = linalg.matmul(ctx, ambient.sigma_matrix, col)
-        stacked = linalg.hstack(ctx, [ev, (-tc) % ctx.modulus])
-        sat = linalg.saturated_kernel_cols(ctx, stacked)[: k * d, :]
-        shifts = [sat]
-        for t in range(1, d):
-            shifts.append(sat[_shift_index(d, k, t), :])
-        rel = linalg.colspan_basis(
-            linalg.Context(cfg.p, cfg.precision, 0),
-            linalg.hstack(ctx, shifts),
-        )
-    sub = _module_from_expanded_relations(cfg, names, rel)
-    inc = ModuleHom(
-        sub,
-        ambient,
-        linalg.matmul(ctx, ev, sub._lift),
-        check=False,
-    )
+    proj = linalg.matmul(mid, proj2, coords[:, : k * d]) % ctx.modulus
+    proj = _canon_rows(ctx, linalg.mat(ctx, proj), model.moduli)
+
+    # Step 3.
+    lift = linalg.zeros(ctx, k * d, model.dim)
+    if model.dim:
+        cols = linalg.pivot_cols_mod_p(cfg.p, proj)
+        lift[cols, :] = linalg.invert(ctx, proj[:, cols])
+
+    rows = _synthesized_relations(cfg, k, model, proj, lift)
+    sub = PresentedModule(cfg, names, rows, _internal=(model, proj, lift))
+    inc = ModuleHom(sub, ambient, linalg.matmul(ctx, ev, lift), check=False)
     return Submodule(sub, inc)
 
 
-def _module_from_expanded_relations(cfg: GroupConfig, names, rel_cols: np.ndarray) -> PresentedModule:
-    """Build a module from an already expanded relation lattice.
+def _synthesized_relations(cfg: GroupConfig, k: int, model: _Model, proj, lift) -> list:
+    """Relations on k generators y_j that present a model, given proj from
+    the free module on the y_j onto the model and its right inverse lift.
 
-    rel_cols has k*d rows (k = number of generators); its column span is
-    assumed closed under the ambient sigma action.
+    Read lift column i as k group-ring elements g_i.  The rows say that
+    y_j = sum_i proj[i, j p^n] g_i, that sigma g_i = sum_l sigma[l, i] g_l
+    and that p^e g_i = 0 for each torsion coordinate.  They hold in the
+    model, and they make e_i -> g_i a module map from the model onto the
+    presented module; proj @ lift = 1 makes it injective, so these rows
+    generate every relation.  Rows that vanish identically are dropped.
     """
+    ctx = linalg.context_of(cfg)
     d = cfg.order
-    k = len(names)
-    model, proj, lift = _model_from_expanded(cfg, k, rel_cols)
-    rows = []
-    for c in range(rel_cols.shape[1]):
-        row = []
-        for g in range(k):
-            row.append(GroupRingElement(cfg, [int(rel_cols[g * d + t, c]) for t in range(d)]))
-        rows.append(tuple(row))
-    return PresentedModule(cfg, names, rows, _internal=(model, proj, lift))
+    m = model.dim
+    own = linalg.zeros(ctx, k * d, k)
+    for j in range(k):
+        own[j * d, j] = 1
+    spell = own - linalg.matmul(ctx, lift, proj[:, ::d])
+    shifted = np.roll(lift.reshape(k, d, m), 1, axis=1).reshape(k * d, m)
+    act = shifted - linalg.matmul(ctx, lift, model.sigma)
+    tors = [lift[:, i] * q for i, q in enumerate(model.moduli) if q is not None]
+    cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
+    return [
+        tuple(GroupRingElement(cfg, cols[j * d : (j + 1) * d, c].tolist()) for j in range(k))
+        for c in range(cols.shape[1])
+        if cols[:, c].any()
+    ]
 
 
 def direct_sum(*modules: PresentedModule) -> DirectSum:
@@ -769,22 +759,8 @@ def quotient_by_image(hom: ModuleHom, names=None) -> Quotient:
     target = hom.target
     cfg = target.cfg
     ctx = target.ctx
-    tc = target.torsion_column_matrix()
-    lattice = linalg.hstack(ctx, [hom.matrix, tc])
-    sm = linalg.smith(ctx, lattice)
-    units = sum(1 for v in sm.dvals if v == 0)
-    m = target.model_dim
-    moduli = []
-    for i in range(units, m):
-        if i < len(sm.dvals):
-            moduli.append(cfg.p ** sm.dvals[i])
-        else:
-            moduli.append(None)
-    proj = sm.left[units:, :].copy()
-    lift = sm.left_inv[:, units:].copy()
-    sigma = linalg.matmul(ctx, linalg.matmul(ctx, proj, target.sigma_matrix), lift)
-    sigma = _canon_rows(ctx, sigma, moduli)
-    model = _Model(tuple(moduli), sigma)
+    lattice = linalg.hstack(ctx, [hom.matrix, target.torsion_column_matrix()])
+    model, proj, lift = _quotient_model(ctx, lattice, target.sigma_matrix)
     quot = PresentedModule._from_model(cfg, model, names=names)
     projection = ModuleHom(target, quot, proj, check=False)
     return Quotient(quot, projection, lift)
@@ -803,16 +779,8 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     stacked = linalg.hstack(ctx, [hom.matrix, (-tc) % ctx.modulus])
     sat = linalg.saturated_kernel_cols(ctx, stacked)
     xs = sat[: source.model_dim, :]
-    cols = [xs[:, j] for j in range(xs.shape[1])]
-    keep = []
-    for c in cols:
-        v = _canon_vec(ctx, c, source.moduli)
-        if any(v):
-            keep.append(source.element_from_model_coords(v))
-    if not keep:
-        zero_mod = PresentedModule(source.cfg, ["z"], [(sigma_power(source.cfg, 0),)])
-        inc = ModuleHom(zero_mod, source, linalg.zeros(ctx, source.model_dim, 0), check=False)
-        return Submodule(zero_mod, inc)
+    keep = [source.element_from_model_coords(xs[:, j]) for j in range(xs.shape[1])]
+    keep = [x for x in keep if not x.is_zero()] or [source.zero()]
     return submodule_from_elements(source, keep, names=names)
 
 
@@ -848,8 +816,8 @@ def augmentation_ideal(cfg: GroupConfig) -> PresentedModule:
 
     Presented on the generators sigma^a - 1, a = 1 .. p^n - 1, matching
     the generator indexing used by extension-class constructions.
-    Cached per configuration: the module is immutable and the saturated
-    construction is not free at group order 25.
+    Cached per configuration: the module is immutable and carries its
+    own cohomology cache.
     """
     lam = free_module(cfg, 1, names=["e"])
     one = sigma_power(cfg, 0)
@@ -963,7 +931,9 @@ def images_agree(h1: ModuleHom, h2: ModuleHom) -> bool:
         raise ValueError("images live in different modules")
     ctx = h1.target.ctx
     tc = h1.target.torsion_column_matrix()
-    d1 = linalg.smith(ctx, linalg.hstack(ctx, [h1.matrix, tc])).dvals
-    d2 = linalg.smith(ctx, linalg.hstack(ctx, [h2.matrix, tc])).dvals
-    d12 = linalg.smith(ctx, linalg.hstack(ctx, [h1.matrix, h2.matrix, tc])).dvals
+
+    def dvals(*blocks):
+        return linalg.smith(ctx, linalg.hstack(ctx, [*blocks, tc]), rows=False, cols=False).dvals
+
+    d1, d2, d12 = dvals(h1.matrix), dvals(h2.matrix), dvals(h1.matrix, h2.matrix)
     return d1 == d12 and d2 == d12

@@ -33,8 +33,8 @@ import numpy as np
 from . import linalg
 from .cohomology import tate
 from .config import IsoSearchConfig
-from .errors import IllDefinedHom, NotAUnit, PreconditionViolated
-from .modules import ModuleHom, PresentedModule, direct_sum, free_module, kernel_of
+from .errors import IllDefinedHom, NotAUnit, PrecisionExhausted, PreconditionViolated
+from .modules import ModuleHom, PresentedModule, _Model, direct_sum, free_module, kernel_of
 from .verdicts import NotIsomorphic, NotStablyIsomorphic, Undecided
 
 __all__ = [
@@ -212,21 +212,40 @@ def _independent_mod_p(p, basis, m1, m2, bound):
     return idx, True
 
 
+def _at_config(module: PresentedModule, cfg) -> PresentedModule:
+    """The module's model re-normalized at a coarser config of its group."""
+    if module.cfg == cfg:
+        return module
+    deep = [e for e in module.torsion_invariants() if e >= cfg.precision - cfg.guard]
+    if deep:
+        raise PrecisionExhausted(
+            f"torsion exponent {max(deep)} does not fit below the guard band "
+            f"at precision {cfg.precision}; needed N >= {max(deep) + cfg.guard + 1}"
+        )
+    ctx = linalg.context_of(cfg)
+    sigma = np.array(module.sigma_matrix % cfg.modulus, dtype=ctx.dtype)
+    return PresentedModule._from_model(cfg, _Model(module.moduli, sigma))
+
+
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
     """Iso, NotIsomorphic, or Undecided for two presented modules.
 
-    Invariant screens (underlying abelian group, Tate groups at every
-    level and parity) decide most negatives outright.  Otherwise
-    candidates from the hom space are tried; if the mod-p image of the
-    hom space has dimension at most search.enumeration_bound it is
-    enumerated exhaustively, so a negative is again definitive.  Random
-    sampling past that point can only produce Iso or Undecided.
+    Modules over the same group at different precisions are compared at
+    the lower one: the finer model is re-normalized there, and an Iso
+    then relates the coarser-precision models.  Invariant screens
+    (underlying abelian group, Tate groups at every level and parity)
+    decide most negatives outright.  Otherwise candidates from the hom
+    space are tried; if the mod-p image of the hom space has dimension
+    at most search.enumeration_bound it is enumerated exhaustively, so a
+    negative is again definitive.  Random sampling past that point can
+    only produce Iso or Undecided.
     """
     if search is None:
         search = IsoSearchConfig()
-    if m1.cfg != m2.cfg:
+    if (m1.cfg.p, m1.cfg.n) != (m2.cfg.p, m2.cfg.n):
         return NotIsomorphic("group-ring parameters differ")
-    cfg = m1.cfg
+    cfg = min(m1.cfg, m2.cfg, key=lambda c: c.precision)
+    m1, m2 = _at_config(m1, cfg), _at_config(m2, cfg)
     if m1.invariant_summary() != m2.invariant_summary():
         return NotIsomorphic(
             f"underlying groups differ: {m1.invariant_summary()} vs "

@@ -175,3 +175,32 @@ def brute_tate_invariants(p, group_order, module: FiniteModule, degree, subgroup
         need = have - len(invariants)
         invariants.extend([exp] * need)
     return sorted(invariants, reverse=True)
+
+
+def fixed_space_rank(modulus: int, action, order: int) -> int:
+    """Rational rank of ker(A - 1) for a matrix A with A^order = 1.
+
+    ``action`` is A mod ``modulus``, as integer rows.  The rank is the
+    average of the traces of A^0 .. A^(order-1), the character formula
+    for the dimension of the fixed space.  Each trace is a sum of roots
+    of unity that is rational, hence an integer of absolute value at
+    most the size, so its residue recovers it once the modulus exceeds
+    twice the size.
+    """
+    size = len(action)
+    if size == 0:
+        return 0
+    if modulus <= 2 * size:
+        raise ValueError("modulus too small to recover the traces")
+    power = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    total = 0
+    for _ in range(order):
+        t = sum(power[i][i] for i in range(size)) % modulus
+        total += t - modulus if t > modulus // 2 else t
+        power = [
+            [sum(power[i][k] * action[k][j] for k in range(size)) % modulus for j in range(size)]
+            for i in range(size)
+        ]
+    if total % order:
+        raise RuntimeError("trace average is not an integer")
+    return total // order

@@ -86,6 +86,12 @@ def test_usage_error_exits_one(capsys):
     assert "error" in err
 
 
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
+
+
 def test_delta_compare_same(docs, capsys):
     code, out, _ = run(
         capsys,
@@ -171,7 +177,7 @@ def test_construct_j_module_save(docs, capsys, tmp_path):
     code, _, _ = run(capsys, "construct", "j-module", "--e", "1", "--save", str(target))
     assert code == 0
     saved = fileio.load_file(target)
-    assert isinstance(modules_isomorphic(saved, j_module(GroupConfig(3, 1, 13))), Iso)
+    assert isinstance(modules_isomorphic(saved, j_module(GroupConfig(3, 1, 13), e=1)), Iso)
 
 
 def test_construct_lemma2_reports_kernel(docs, capsys):

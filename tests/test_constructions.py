@@ -136,6 +136,13 @@ def test_j_family_pairwise_distinct():
             assert isinstance(modules_isomorphic(js[a], js[b]), NotIsomorphic)
 
 
+def test_isomorphism_is_decided_at_the_lower_precision():
+    fine = GroupConfig(3, 1, 13)
+    assert isinstance(modules_isomorphic(j_module(C31, 1), j_module(fine, 1)), Iso)
+    assert isinstance(modules_isomorphic(j_module(C31, 0), j_module(fine, 1)), NotIsomorphic)
+    assert isinstance(modules_isomorphic(augmentation_ideal(C31), augmentation_ideal(C51)), NotIsomorphic)
+
+
 def test_j_above_n_is_trivial_plus_ideal():
     top = direct_sum(zp_trivial(C31), augmentation_ideal(C31)).module
     assert isinstance(modules_isomorphic(j_module(C31, 2), top), Iso)

@@ -77,6 +77,32 @@ def test_smith_guard_band_raises():
         linalg.smith(c, [[27]])
 
 
+def test_smith_skipped_transforms_keep_the_pivots():
+    c = ctx()
+    rng = random.Random(13)
+    for _ in range(10):
+        a = random_matrix(c, rng, 4, 5)
+        full = linalg.smith(c, a)
+        rows_only = linalg.smith(c, a, cols=False)
+        bare = linalg.smith(c, a, rows=False, cols=False)
+        assert rows_only.dvals == bare.dvals == full.dvals
+        assert np.array_equal(rows_only.left, full.left)
+        assert np.array_equal(rows_only.left_inv, full.left_inv)
+        assert rows_only.right is None and rows_only.right_inv is None
+        assert bare.left is None and bare.left_inv is None
+
+
+def test_smith_ceiling_at_raised_precision():
+    # 3^5 is zero at N = 5; at N = 9 it is a pivot unless the ceiling
+    # says otherwise, and the guard band stays [N0 - guard, N0).
+    raised = linalg.Context(3, 9, 9 - 5 + 2)
+    a = [[1, 0], [0, 3**5]]
+    assert linalg.smith(raised, a, ceiling=5).dvals == [0]
+    assert linalg.smith(linalg.Context(3, 9, 2), a).dvals == [0, 5]
+    with pytest.raises(PrecisionExhausted):
+        linalg.smith(raised, [[1, 0], [0, 3**4]], ceiling=5)
+
+
 def test_solve_roundtrip_and_unsolvable():
     c = ctx()
     rng = random.Random(5)

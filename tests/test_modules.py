@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from cyclomod.arith import norm_element, sigma_power
+from cyclomod.arith import GroupRingElement, norm_element, sigma_power
+from cyclomod.cohomology import tate
 from cyclomod.config import GroupConfig
 from cyclomod.errors import IllDefinedHom
 from cyclomod.modules import (
@@ -22,8 +23,9 @@ from cyclomod.modules import (
     trivial_module,
     zp_trivial,
 )
+from cyclomod.suites import random_presented_module
 
-from _oracles import cokernel_valuations_mod_pN
+from _oracles import cokernel_valuations_mod_pN, fixed_space_rank
 
 
 def cfg(p=3, n=1, precision=8):
@@ -202,3 +204,80 @@ def test_presentation_invariants_match_oracle():
             list(mod.torsion_invariants()) + [c.precision] * mod.zp_rank()
         )
         assert got == expected
+
+
+# -- submodules against independent oracles ------------------------------
+
+ORACLE_GROUPS = ((3, 1), (3, 2), (5, 1), (2, 2), (2, 3))
+ORACLE_SEEDS = range(60)
+PRECISION_SEEDS = range(30)
+
+
+def _random_submodule(p, n, precision, seed):
+    """A seeded random ambient and the submodule of 1-3 random elements.
+
+    The integer data depend only on the seed, so the same case can be
+    built at several precisions.
+    """
+    c = GroupConfig(p, n, precision)
+    rng = random.Random(seed)
+    ambient = random_presented_module(c, rng)
+    k = len(ambient.gen_names)
+    elements = [
+        ambient.element([[rng.randint(-2, 2) for _ in range(c.order)] for _ in range(k)])
+        for _ in range(rng.randint(1, 3))
+    ]
+    return ambient, submodule_from_elements(ambient, elements).module
+
+
+def _oracle_fixed_rank(module):
+    """The character-formula rank on the free coordinates of the model.
+
+    The free block is the action on the module mod torsion; it is read
+    mod p^(N - e), e the largest torsion exponent, because the free rows
+    at torsion columns are only determined to that precision.
+    """
+    c = module.cfg
+    free = [i for i, q in enumerate(module.moduli) if q is None]
+    block = [[int(module.sigma_matrix[i, j]) for j in free] for i in free]
+    depth = max(module.torsion_invariants(), default=0)
+    return fixed_space_rank(c.p ** (c.precision - depth), block, c.order)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("p, n", ORACLE_GROUPS)
+def test_fixed_point_rank_matches_character_oracle(p, n):
+    for seed in ORACLE_SEEDS:
+        ambient, sub = _random_submodule(p, n, n + 10, seed)
+        for module in (ambient, sub):
+            got = fixed_points(module).module.zp_rank()
+            assert got == _oracle_fixed_rank(module), (seed, module)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("p, n", ORACLE_GROUPS)
+def test_submodule_invariants_do_not_depend_on_precision(p, n):
+    for seed in PRECISION_SEEDS:
+        views = []
+        for precision in (n + 10, n + 18):
+            _, sub = _random_submodule(p, n, precision, seed)
+            tates = [
+                tate(sub, degree, level).invariants
+                for level in range(1, n + 1)
+                for degree in (0, 1)
+            ]
+            views.append((sub.invariant_summary(), tates))
+        assert views[0] == views[1], seed
+
+
+def test_residues_zero_mod_pN_are_zeros():
+    # The augmentation of x is 3^11, zero at N = 11: x lies in the
+    # augmentation ideal there, so it spans a rank-2 submodule (at any
+    # higher precision it would span rank 3, hence no N + 8 check).
+    c = GroupConfig(3, 1, 11)
+    lam = free_module(c, 1)
+    x = GroupRingElement(c, [68134, 27254, 81759])
+    assert sum(x.values) == 3**11
+    sub = submodule_from_elements(lam, [lam.element([x])])
+    assert sub.module.invariant_summary() == (2, ())
+    assert sub.inclusion.apply(sub.module.generator(0)) == lam.element([x])

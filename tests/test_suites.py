@@ -1,11 +1,13 @@
 """Battery machinery: report shapes, status precedence, determinism.
 
-The full default batteries run in test_acceptance; here the suites run
-with reduced knobs to keep this file fast.
+Most suites run here with reduced knobs to keep this file fast; the
+J-family battery also runs at C25 with e <= 1.  The full default
+batteries (ALL_SUITES at default settings) are not run here.
 """
 
 from cyclomod import fileio
-from cyclomod.config import IsoSearchConfig
+from cyclomod.config import GroupConfig, IsoSearchConfig
+from cyclomod.constructions import j_module
 from cyclomod.suites import (
     ALL_SUITES,
     CONFIG_31,
@@ -67,6 +69,18 @@ def test_lemma3_reduced_config():
     # e in 0..2, two parities at one level, build+resolution checks,
     # one h-isomorphism per e >= 1, one pairwise pair, one top check
     assert report.counts["pass"] == len(report.checks)
+
+
+def test_lemma3_at_order_25():
+    report = suite_lemma3(configs=(GroupConfig(5, 2, 10),), e_max=1)
+    assert report.status == "pass"
+    assert report.counts["pass"] == len(report.checks)
+
+
+def test_j_module_at_order_27():
+    jm = j_module(GroupConfig(3, 3, 13), 1)
+    assert jm.invariant_summary() == (27, ())
+    assert len(jm.gen_names) == 28
 
 
 def test_lemma3_e_max_caps_family():
