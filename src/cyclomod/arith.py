@@ -254,49 +254,3 @@ def subgroup_norm(cfg: GroupConfig, i: int) -> GroupRingElement:
     for t in range(cfg.p**i):
         vals[(t * step) % cfg.order] = 1
     return GroupRingElement(cfg, vals)
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Diagonalization D = left @ A @ right over Z/p^N.
-
-    diagonal holds min(m, n) entries; valuations holds their p-valuations
-    with SATURATED marking the slots that vanish mod p^N.
-    """
-
-    diagonal: tuple
-    valuations: tuple
-    left: np.ndarray
-    left_inverse: np.ndarray
-    right: np.ndarray
-    right_inverse: np.ndarray
-
-
-def smith_normal_form(p: int, precision: int, a, guard: int = 1) -> SnfResult:
-    """Smith form of an integer matrix over Z/p^N.
-
-    The transforms have unit determinant and the diagonal entries are
-    powers of p in nondecreasing valuation order.  Raises
-    PrecisionExhausted when a pivot decision falls within ``guard``
-    digits of the precision ceiling.
-    """
-    ctx = linalg.Context(p, precision, guard)
-    sm = linalg.smith(ctx, a)
-    k = min(sm.shape)
-    diag = []
-    vals = []
-    for j in range(k):
-        if j < len(sm.dvals):
-            diag.append(p ** sm.dvals[j])
-            vals.append(sm.dvals[j])
-        else:
-            diag.append(0)
-            vals.append(SATURATED)
-    return SnfResult(
-        diagonal=tuple(diag),
-        valuations=tuple(vals),
-        left=sm.left,
-        left_inverse=sm.left_inv,
-        right=sm.right,
-        right_inverse=sm.right_inv,
-    )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .arith import GroupRingElement, subgroup_norm
+from .arith import GroupRingElement, sigma_power, subgroup_norm
 from .config import GroupConfig
 from .errors import CyclomodError, PrecisionExhausted, PreconditionViolated
 from .modules import ElementVector, ModuleHom, PresentedModule
@@ -88,7 +88,7 @@ class TateGroup:
         self._ctx = ctx
         m = module.model_dim
         step = cfg.p ** (cfg.n - level)
-        tau = module.act_matrix(_sigma_elt(cfg, step))
+        tau = module.act_matrix(sigma_power(cfg, step))
         nm = module.act_matrix(subgroup_norm(cfg, level))
         ident = linalg.eye(ctx, m)
         if degree % 2 == 0:
@@ -145,9 +145,6 @@ class TateGroup:
     def is_trivial(self) -> bool:
         return not self.invariants
 
-    def order_exponent(self) -> int:
-        return sum(self.invariants)
-
     def reduce(self, elt: ElementVector) -> tuple:
         """Coordinates of a numerator element with respect to the summands.
 
@@ -188,12 +185,6 @@ class TateGroup:
 def _lift(ctx: linalg.Context, a: np.ndarray) -> np.ndarray:
     """Recast canonical residues into another context's dtype."""
     return np.array(a, dtype=ctx.dtype) % ctx.modulus
-
-
-def _sigma_elt(cfg: GroupConfig, power: int) -> GroupRingElement:
-    vals = [0] * cfg.order
-    vals[power % cfg.order] = 1
-    return GroupRingElement(cfg, vals)
 
 
 def coset_sum(cfg: GroupConfig, upper: int, lower: int) -> GroupRingElement:
@@ -411,7 +402,7 @@ def connecting_iso(
     ctx = mid.ctx
     step = cfg.p ** (cfg.n - level)
     if degree % 2 == 0:
-        op = (mid.act_matrix(_sigma_elt(cfg, step)) - linalg.eye(ctx, mid.model_dim)) % ctx.modulus
+        op = (mid.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, mid.model_dim)) % ctx.modulus
     else:
         op = mid.act_matrix(subgroup_norm(cfg, level))
     lift_sys = linalg.hstack(ctx, [proj.matrix, c_mod.torsion_column_matrix()])

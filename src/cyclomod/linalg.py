@@ -12,6 +12,9 @@ searches) reduces to a few primitives implemented here on numpy arrays:
 * saturated_kernel_cols: generators of the p-adic kernel, i.e. the
   directions whose image vanishes identically rather than merely mod p^N.
 * pivot_cols_mod_p / rank_mod_p: plain Gaussian elimination mod p.
+* search_invertible: the search of a spanning set of a solution space
+  for a member that passes an invertibility check, shared by the module
+  and diagram isomorphism tests.
 
 The distinction between the two kernels is what keeps truncated
 arithmetic honest.  A column of A that is genuinely zero over Zp shows
@@ -26,7 +29,9 @@ cannot overflow, and Python-integer object arrays otherwise.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -126,15 +131,14 @@ class Smith:
 
     dvals lists the valuations of the pivot entries, nondecreasing, each
     strictly below the guard band.  Diagonal slots past len(dvals) are
-    zeros at the elimination's ceiling.  left/right and their tracked
-    inverses all have unit determinant; a transform the caller did not
-    ask for is None.
+    zeros at the elimination's ceiling.  left, its tracked inverse and
+    right all have unit determinant; a transform the caller did not ask
+    for is None.
     """
 
     left: np.ndarray | None
     left_inv: np.ndarray | None
     right: np.ndarray | None
-    right_inv: np.ndarray | None
     dvals: list
     shape: tuple
 
@@ -158,9 +162,9 @@ def smith(
     be told apart from "zero at higher precision".
 
     rows and cols say whether to keep the row transforms (left, left_inv)
-    and the column transforms (right, right_inv); skipping an unread
-    pair saves a square update per pivot.  Residues of valuation at or
-    above ceiling (default N) count as zero: a caller working at a raised
+    and the column transform (right); skipping an unread one saves a
+    square update per pivot.  Residues of valuation at or above
+    ceiling (default N) count as zero: a caller working at a raised
     precision N on residues known mod p^N0 passes ceiling=N0 and guard
     N - N0 + guard0, which keeps the guard band [N0 - guard0, N0).
     """
@@ -169,7 +173,7 @@ def smith(
     # An unwanted transform is tracked as an empty slice, on which every
     # update below is a no-op.
     u, uinv = (eye(ctx, m), eye(ctx, m)) if rows else (zeros(ctx, m, 0), zeros(ctx, 0, m))
-    v_, vinv = (eye(ctx, n), eye(ctx, n)) if cols else (zeros(ctx, 0, n), zeros(ctx, n, 0))
+    v_ = eye(ctx, n) if cols else zeros(ctx, 0, n)
     mod = ctx.modulus
     p = ctx.p
     top = ctx.precision if ceiling is None else ceiling
@@ -205,7 +209,6 @@ def smith(
         if j != k:
             a[:, [k, j]] = a[:, [j, k]]
             v_[:, [k, j]] = v_[:, [j, k]]
-            vinv[[k, j], :] = vinv[[j, k], :]
         pk = p**pv
         unit = int(a[k, k]) // pk
         if unit != 1:
@@ -224,14 +227,13 @@ def smith(
             q = row // pk
             a[:, k + 1 :] = (a[:, k + 1 :] - a[:, k : k + 1] * q[None, :]) % mod
             v_[:, k + 1 :] = (v_[:, k + 1 :] - v_[:, k : k + 1] * q[None, :]) % mod
-            vinv[k, :] = (vinv[k, :] + matmul(ctx, q.reshape(1, -1), vinv[k + 1 :, :]).ravel()) % mod
         dvals.append(pv)
         k += 1
     if not rows:
         u = uinv = None
     if not cols:
-        v_ = vinv = None
-    return Smith(u, uinv, v_, vinv, dvals, (m, n))
+        v_ = None
+    return Smith(u, uinv, v_, dvals, (m, n))
 
 
 def solve(ctx: Context, a, b, sm: Smith | None = None):
@@ -377,13 +379,10 @@ def pivot_cols_mod_p(p: int, a: np.ndarray) -> list:
         rank = len(pivots)
         if rank == m:
             break
-        piv = None
-        for i in range(rank, m):
-            if b[i, col] % p:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(b[rank:, col])
+        if not nz.size:
             continue
+        piv = rank + int(nz[0])
         b[[rank, piv], :] = b[[piv, rank], :]
         inv = pow(int(b[rank, col]), -1, p)
         b[rank, :] = (b[rank, :] * inv) % p
@@ -398,6 +397,57 @@ def pivot_cols_mod_p(p: int, a: np.ndarray) -> list:
 def rank_mod_p(p: int, a: np.ndarray) -> int:
     """Rank of a matrix reduced mod p (plain Gaussian elimination)."""
     return len(pivot_cols_mod_p(p, a))
+
+
+@dataclass(frozen=True)
+class SearchMiss:
+    """search_invertible found nothing.
+
+    rank is the mod-p rank of the span.  enumerated says every nonzero
+    mod-p class of the span was tried, which makes the miss definitive.
+    """
+
+    rank: int
+    enumerated: bool
+
+
+def search_invertible(members, modulus: int, p: int, verify, search, first=()):
+    """First non-None verify(x) over the span of members, or a SearchMiss.
+
+    members are same-shape residue arrays spanning a solution space mod
+    modulus; verify promotes a candidate to a result or returns None.
+    Whether some member of the span is invertible depends only on its
+    residue mod p (Nakayama's lemma over the local ring Zp[G]), so the
+    mod-p span decides the question.  Candidates, in this order: first
+    (e.g. the identity), each member, then every nonzero combination
+    with coefficients in [0, p) of the members that are independent mod
+    p, when there are at most search.enumeration_bound of them;
+    otherwise search.max_samples seeded combinations that draw one
+    coefficient in [0, modulus) per member, in order.
+    """
+    for x in (*first, *members):
+        found = verify(x)
+        if found is not None:
+            return found
+    pivots = []
+    if members:
+        pivots = pivot_cols_mod_p(p, np.stack([np.ravel(x) for x in members], axis=1))
+    enumerated = len(pivots) <= search.enumeration_bound
+    if enumerated:
+        span = [members[j] for j in pivots]
+        combos = (c for c in product(range(p), repeat=len(span)) if any(c))
+    else:
+        span = members
+        rng = random.Random(search.seed)
+        combos = ([rng.randrange(modulus) for _ in span] for _ in range(search.max_samples))
+    for coeffs in combos:
+        x = 0
+        for c, member in zip(coeffs, span):
+            x = (x + c * member) % modulus
+        found = verify(x)
+        if found is not None:
+            return found
+    return SearchMiss(len(pivots), enumerated)
 
 
 def is_zero(a: np.ndarray) -> bool:

@@ -885,23 +885,12 @@ def minimal_generators(module: PresentedModule) -> list:
         return []
     p = module.cfg.p
     ctx = module.ctx
-    diff = (module.sigma_matrix - linalg.eye(ctx, m)) % ctx.modulus
-    base = np.array([[int(x) % p for x in row] for row in diff], dtype=np.int64)
-    work = base
-    have = linalg.rank_mod_p(p, work)
-    picked = []
-    for j in range(m):
-        if have == m:
-            break
-        e = np.zeros((m, 1), dtype=np.int64)
-        e[j, 0] = 1
-        trial = np.concatenate([work, e], axis=1)
-        r = linalg.rank_mod_p(p, trial)
-        if r > have:
-            picked.append(j)
-            work, have = trial, r
     coords = linalg.eye(ctx, m)
-    return [module.element_from_model_coords(coords[:, j]) for j in picked]
+    diff = (module.sigma_matrix - coords) % ctx.modulus
+    # Pivots in the identity block are the unit vectors that raise the
+    # mod-p rank of the image of sigma - 1, taken greedily in order.
+    pivots = linalg.pivot_cols_mod_p(p, linalg.hstack(ctx, [diff, coords]))
+    return [module.element_from_model_coords(coords[:, j - m]) for j in pivots if j >= m]
 
 
 def free_cover(module: PresentedModule, names=None):

@@ -10,11 +10,11 @@ depends on the matrix mod p.  That gives the search its shape:
 
   * cheap invariant comparisons first (underlying group, cohomology),
     any mismatch being a definitive negative;
-  * candidate matrices drawn from the spanning set, each verified by an
-    honest two-sided inverse check;
-  * when the mod-p image of the hom space is low-dimensional, full
-    enumeration of it, making a negative answer definitive as well;
-  * otherwise seeded random sampling, with Undecided on exhaustion.
+  * then linalg.search_invertible over the spanning set (shared with the
+    diagram search in yakovlev), each candidate verified by an honest
+    two-sided inverse check: a full enumeration of a low-dimensional
+    mod-p image makes a negative answer definitive as well, while
+    seeded sampling of a larger one ends in Undecided on exhaustion.
 
 Stable isomorphism pads both sides with free modules of matching rank.
 Krull-Schmidt holds for finitely generated modules over the complete
@@ -25,8 +25,6 @@ minimal compatible padding settles every larger padding too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-import random
 
 import numpy as np
 
@@ -150,14 +148,6 @@ def hom_space_basis(source: PresentedModule, target: PresentedModule) -> list:
     return basis
 
 
-def _assemble(target_ctx, gap, y, m1, m2, p):
-    x = linalg.zeros(target_ctx, m2, m1)
-    for r in range(m2):
-        for c in range(m1):
-            x[r, c] = (p ** gap[r][c] * int(y[r * m1 + c])) % target_ctx.modulus
-    return x
-
-
 def _verify_iso(source, target, x):
     """Promote a candidate matrix to an Iso, or return None.
 
@@ -190,28 +180,6 @@ def _verify_iso(source, target, x):
     return Iso(fwd, inv)
 
 
-def _independent_mod_p(p, basis, m1, m2, bound):
-    """Indices of basis members with independent mod-p images, capped.
-
-    Returns (indices, full_rank_found): the second flag is False when
-    more than ``bound`` independent directions exist.
-    """
-    flat = []
-    idx = []
-    current = 0
-    for j, x in enumerate(basis):
-        v = np.array([int(x[r, c]) % p for r in range(m2) for c in range(m1)], dtype=np.int64)
-        if not v.any():
-            continue
-        trial = flat + [v]
-        r = linalg.rank_mod_p(p, np.array(trial, dtype=np.int64).T)
-        if r > current:
-            if r > bound:
-                return idx, False
-            flat, idx, current = trial, idx + [j], r
-    return idx, True
-
-
 def _at_config(module: PresentedModule, cfg) -> PresentedModule:
     """The module's model re-normalized at a coarser config of its group."""
     if module.cfg == cfg:
@@ -225,6 +193,17 @@ def _at_config(module: PresentedModule, cfg) -> PresentedModule:
     ctx = linalg.context_of(cfg)
     sigma = np.array(module.sigma_matrix % cfg.modulus, dtype=ctx.dtype)
     return PresentedModule._from_model(cfg, _Model(module.moduli, sigma))
+
+
+def _tate_mismatch(m1: PresentedModule, m2: PresentedModule):
+    """First (level, degree, t1, t2) whose Tate groups differ, or None."""
+    for level in range(1, m1.cfg.n + 1):
+        for degree in (0, 1):
+            t1 = tate(m1, degree, level)
+            t2 = tate(m2, degree, level)
+            if sorted(t1.invariants) != sorted(t2.invariants):
+                return level, degree, t1, t2
+    return None
 
 
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
@@ -251,15 +230,13 @@ def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
             f"underlying groups differ: {m1.invariant_summary()} vs "
             f"{m2.invariant_summary()}"
         )
-    for level in range(1, cfg.n + 1):
-        for degree in (0, 1):
-            t1 = tate(m1, degree, level)
-            t2 = tate(m2, degree, level)
-            if sorted(t1.invariants) != sorted(t2.invariants):
-                return NotIsomorphic(
-                    f"cohomology differs at level {level}, degree {degree}: "
-                    f"{t1.invariants} vs {t2.invariants}"
-                )
+    mismatch = _tate_mismatch(m1, m2)
+    if mismatch:
+        level, degree, t1, t2 = mismatch
+        return NotIsomorphic(
+            f"cohomology differs at level {level}, degree {degree}: "
+            f"{t1.invariants} vs {t2.invariants}"
+        )
     m = m1.model_dim
     if m == 0:
         empty = linalg.zeros(m1.ctx, 0, 0)
@@ -269,41 +246,17 @@ def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
     basis = hom_space_basis(m1, m2)
     if not basis:
         return NotIsomorphic("hom space is zero")
-    if m1.model_dim == m2.model_dim:
-        found = _verify_iso(m1, m2, linalg.eye(m1.ctx, m))
-        if found:
-            return found
-    for x in basis:
-        found = _verify_iso(m1, m2, x)
-        if found:
-            return found
-    p = cfg.p
-    idx, complete = _independent_mod_p(p, basis, m1.model_dim, m2.model_dim, search.enumeration_bound)
-    if complete:
-        for coeffs in product(range(p), repeat=len(idx)):
-            if not any(coeffs):
-                continue
-            x = linalg.zeros(m2.ctx, m2.model_dim, m1.model_dim)
-            for c, j in zip(coeffs, idx):
-                x = (x + c * basis[j]) % m2.ctx.modulus
-            found = _verify_iso(m1, m2, x)
-            if found:
-                return found
+    first = (linalg.eye(m1.ctx, m),) if m == m2.model_dim else ()
+    found = linalg.search_invertible(
+        basis, m2.ctx.modulus, cfg.p, lambda x: _verify_iso(m1, m2, x), search, first
+    )
+    if not isinstance(found, linalg.SearchMiss):
+        return found
+    if found.enumerated:
         return NotIsomorphic(
             "no member of the hom space is invertible mod p "
-            f"(enumerated all {p}**{len(idx)} mod-p classes)"
+            f"(enumerated all {cfg.p}**{found.rank} mod-p classes)"
         )
-    rng = random.Random(search.seed)
-    modulus = m2.ctx.modulus
-    for _ in range(search.max_samples):
-        x = linalg.zeros(m2.ctx, m2.model_dim, m1.model_dim)
-        for b in basis:
-            c = rng.randrange(modulus)
-            if c:
-                x = (x + c * b) % modulus
-        found = _verify_iso(m1, m2, x)
-        if found:
-            return found
     return Undecided(
         f"no isomorphism found in {search.max_samples} samples over a hom "
         f"space with more than {search.enumeration_bound} mod-p directions"
@@ -338,15 +291,13 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
         return NotStablyIsomorphic(
             f"rank difference {r1 - r2} is not a multiple of the group order {d}"
         )
-    for level in range(1, cfg.n + 1):
-        for degree in (0, 1):
-            t1 = tate(m1, degree, level)
-            t2 = tate(m2, degree, level)
-            if sorted(t1.invariants) != sorted(t2.invariants):
-                return NotStablyIsomorphic(
-                    f"cohomology differs at level {level}, degree {degree}; "
-                    "free padding cannot change it"
-                )
+    mismatch = _tate_mismatch(m1, m2)
+    if mismatch:
+        level, degree = mismatch[:2]
+        return NotStablyIsomorphic(
+            f"cohomology differs at level {level}, degree {degree}; "
+            "free padding cannot change it"
+        )
     pads = sorted(
         (
             (a, b)

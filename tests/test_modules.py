@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from cyclomod import linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power
 from cyclomod.cohomology import tate
 from cyclomod.config import GroupConfig
@@ -17,6 +18,7 @@ from cyclomod.modules import (
     free_module,
     identity_hom,
     kernel_of,
+    minimal_generators,
     quotient_by_image,
     scalar_action_hom,
     submodule_from_elements,
@@ -252,6 +254,27 @@ def test_fixed_point_rank_matches_character_oracle(p, n):
         for module in (ambient, sub):
             got = fixed_points(module).module.zp_rank()
             assert got == _oracle_fixed_rank(module), (seed, module)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_minimal_generators_are_the_greedy_unit_vectors():
+    # Greedy definition: unit vector e_j is picked when it raises the
+    # mod-p rank of the image of sigma - 1 plus the vectors picked so far.
+    for p, n in ORACLE_GROUPS:
+        for seed in range(20):
+            for module in _random_submodule(p, n, n + 10, seed):
+                m = module.model_dim
+                eye = np.eye(m, dtype=np.int64)
+                work = np.array((module.sigma_matrix - eye) % p, dtype=np.int64)
+                picked = []
+                for j in range(m):
+                    trial = np.concatenate([work, eye[:, j : j + 1]], axis=1)
+                    if linalg.rank_mod_p(p, trial) > linalg.rank_mod_p(p, work):
+                        picked.append(j)
+                        work = trial
+                want = [module.element_from_model_coords(eye[:, j]).coords for j in picked]
+                got = [g.coords for g in minimal_generators(module)]
+                assert got == want, (p, n, seed)
 
 
 @pytest.mark.filterwarnings("ignore:p = 2")
