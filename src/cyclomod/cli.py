@@ -41,6 +41,7 @@ from .suites import (
     suite_axioms,
     suite_lemma3,
     suite_prop5,
+    suite_splitting,
 )
 from .verdicts import Undecided
 from .yakovlev import DiagramIso, YakovlevDiagram, delta, diagrams_isomorphic
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--save", default=None, help="write the re-extracted extension here")
 
     v = sub.add_parser("verify", help="run a named battery")
-    v.add_argument("suite", choices=("lemma3", "prop4", "prop5", "theorem1", "axioms", "yakovlev"))
+    v.add_argument("suite", choices=sorted(ALL_SUITES))
     v.add_argument("--e-max", type=int, default=None, help="lemma3: cap the family index")
     v.add_argument("--count", type=int, default=25, help="axioms: modules per config")
     v.add_argument("--r", type=int, default=None, help="prop5: number of cyclic summands")
@@ -318,6 +319,8 @@ def _cmd_verify(args) -> int:
         report = suite_lemma3(configs=configs, search=search, e_max=args.e_max)
     elif args.suite == "axioms":
         report = suite_axioms(seed=args.seed, count=args.count)
+    elif args.suite == "splitting":
+        report = suite_splitting(seed=args.seed, search=search)
     elif args.suite == "prop5":
         instances = None
         if args.r is not None or args.e:

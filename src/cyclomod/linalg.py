@@ -418,13 +418,16 @@ def search_invertible(members, modulus: int, p: int, verify, search, first=()):
     modulus; verify promotes a candidate to a result or returns None.
     Whether some member of the span is invertible depends only on its
     residue mod p (Nakayama's lemma over the local ring Zp[G]), so the
-    mod-p span decides the question.  Candidates, in this order: first
-    (e.g. the identity), each member, then every nonzero combination
-    with coefficients in [0, p) of the members that are independent mod
-    p, when there are at most search.enumeration_bound of them;
-    otherwise search.max_samples seeded combinations that draw one
-    coefficient in [0, modulus) per member, in order.
+    mod-p span decides the question, and members that are zero mod p
+    are dropped before any candidate is tried.  Candidates, in this
+    order: first (e.g. the identity), each remaining member, then every
+    nonzero combination with coefficients in [0, p) of the members that
+    are independent mod p, when there are at most
+    search.enumeration_bound of them; otherwise search.max_samples
+    seeded combinations that draw one coefficient in [0, modulus) per
+    remaining member, in order.
     """
+    members = [x for x in members if (x % p).any()]
     for x in (*first, *members):
         found = verify(x)
         if found is not None:

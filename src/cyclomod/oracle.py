@@ -2,11 +2,13 @@
 
 The hom space between two presented modules is a finitely generated
 Zp-module, and a spanning set of it mod p^N can be computed outright:
-unknown matrix entries are rescaled so that the annihilator constraints
-disappear, leaving a single linear system for sigma-equivariance.  Once
-a spanning set is in hand, deciding isomorphism reduces to finding one
-member that is invertible, and invertibility over a local ring only
-depends on the matrix mod p.  That gives the search its shape:
+a hom is fixed by the images of the source's minimal generators, and
+those images are exactly the tuples of target elements that kill the
+source's relations, one linear system with g m2 unknowns (g generators,
+m2 the target's model size).  Once a spanning set is in hand, deciding
+isomorphism reduces to finding one member that is invertible, and
+invertibility over a local ring only depends on the matrix mod p.
+That gives the search its shape:
 
   * cheap invariant comparisons first (underlying group, cohomology),
     any mismatch being a definitive negative;
@@ -32,7 +34,17 @@ from . import linalg
 from .cohomology import tate
 from .config import IsoSearchConfig
 from .errors import IllDefinedHom, NotAUnit, PrecisionExhausted, PreconditionViolated
-from .modules import ModuleHom, PresentedModule, _Model, direct_sum, free_module, kernel_of
+from .modules import (
+    ModuleHom,
+    PresentedModule,
+    _canon_rows,
+    _Model,
+    _orbits,
+    direct_sum,
+    free_module,
+    kernel_of,
+    minimal_generators,
+)
 from .verdicts import NotIsomorphic, NotStablyIsomorphic, Undecided
 
 __all__ = [
@@ -77,75 +89,50 @@ class FreeSummandReport:
     complement: PresentedModule
 
 
-def _hom_exponents(module: PresentedModule) -> list:
-    """Annihilator exponent of each model coordinate (precision if free)."""
-    n = module.cfg.precision
-    p = module.cfg.p
-    out = []
-    for q in module.moduli:
-        if q is None:
-            out.append(n)
-        else:
-            e = 0
-            while p**e < q:
-                e += 1
-            out.append(e)
-    return out
-
-
 def hom_space_basis(source: PresentedModule, target: PresentedModule) -> list:
     """Matrices spanning Hom(source, target) as a module mod p^N.
 
-    Entry (r, c) of a hom matrix is constrained to the multiples of
-    p^max(0, e_r - f_c), with f and e the coordinate annihilator
-    exponents of source and target.  Substituting that scaling leaves
-    only the sigma-equivariance equations, solved as a congruence
-    kernel at guard 0: hom matrices are used mod p^N only, so residues
-    of any valuation are legitimate here.
+    A hom is fixed by the images y_1..y_g of the source's minimal
+    generators.  With E = [sigma1^k u_j] their orbits, the relations
+    are the kappa with E kappa in the source's torsion lattice, and y is
+    a hom when each sum_(j,k) kappa[j d + k] sigma2^k y_j dies in the
+    target; row r is scaled by p^N / q_r so that one congruence mod p^N
+    stands for one mod the target modulus q_r.  Both kernels are
+    congruence kernels at guard 0: hom matrices are used mod p^N only,
+    so residues of any valuation are legitimate here.  The matrix X of
+    a solution has X E = [sigma2^k y_j]; the columns P of E independent
+    mod p are m1 in number (the generators span M/pM), so X is
+    [sigma2^k y_j]_P E_P^-1.  Solutions that are the zero hom are dropped.
     """
     if source.cfg != target.cfg:
         raise PreconditionViolated("hom spaces need matching group parameters")
-    cfg = source.cfg
     m1, m2 = source.model_dim, target.model_dim
     if m1 == 0 or m2 == 0:
         return []
-    p, n = cfg.p, cfg.precision
-    ctx = linalg.Context(p, n, 0)
-    f = _hom_exponents(source)
-    e = _hom_exponents(target)
-    gap = [[max(0, e[r] - f[c]) for c in range(m1)] for r in range(m2)]
-    s1 = source.sigma_matrix
-    s2 = target.sigma_matrix
-    unknowns = m1 * m2
-
-    def slot(r, c):
-        return r * m1 + c
-
-    rows = []
-    for r in range(m2):
-        scale = p ** (n - e[r])
-        for c in range(m1):
-            row = [0] * unknowns
-            for k in range(m1):
-                row[slot(r, k)] += p ** gap[r][k] * int(s1[k, c])
-            for k in range(m2):
-                row[slot(k, c)] -= p ** gap[k][c] * int(s2[r, k])
-            rows.append([(v * scale) % ctx.modulus for v in row])
-    sys_mat = linalg.mat(ctx, rows) if rows else linalg.zeros(ctx, 1, unknowns)
-    ker = linalg.kernel_cols(ctx, sys_mat)
-    basis = []
-    for j in range(ker.shape[1]):
-        x = linalg.zeros(target.ctx, m2, m1)
-        col = ker[:, j]
-        nonzero = False
-        for r in range(m2):
-            for c in range(m1):
-                v = (p ** gap[r][c] * int(col[slot(r, c)])) % target.ctx.modulus
-                x[r, c] = v
-                nonzero = nonzero or v != 0
-        if nonzero:
-            basis.append(x)
-    return basis
+    cfg = source.cfg
+    ctx = linalg.Context(cfg.p, cfg.precision, 0)
+    d = cfg.order
+    gens = [u.column() for u in minimal_generators(source)]
+    g = len(gens)
+    orbits = _orbits(ctx, source.sigma_matrix, gens, d)
+    rel = linalg.kernel_cols(ctx, linalg.hstack(ctx, [orbits, source.torsion_column_matrix()]))
+    powers = [linalg.eye(ctx, m2)]
+    for _ in range(d - 1):
+        powers.append(linalg.matmul(ctx, target.sigma_matrix, powers[-1]))
+    flat = np.stack(powers).reshape(d, m2 * m2)
+    # blocks[i, r, j, c]: entry (r, c) of relation i's block for generator j.
+    blocks = np.stack([linalg.matmul(ctx, rel[j * d : (j + 1) * d].T, flat) for j in range(g)], 1)
+    blocks = blocks.reshape(-1, g, m2, m2).transpose(0, 2, 1, 3)
+    scale = [1 if q is None else ctx.modulus // q for q in target.moduli]
+    scale = np.array(scale, dtype=ctx.dtype)[None, :, None, None]
+    system = (blocks * scale).reshape(-1, g * m2) % ctx.modulus
+    ys = linalg.kernel_cols(ctx, system).reshape(g, m2, -1)
+    pivots = linalg.pivot_cols_mod_p(cfg.p, orbits)
+    images = np.stack([linalg.matmul(ctx, powers[c % d], ys[c // d]) for c in pivots], 2)
+    images = images.transpose(1, 0, 2).reshape(-1, m1)
+    homs = linalg.matmul(ctx, images, linalg.invert(ctx, orbits[:, pivots])).reshape(-1, m2, m1)
+    basis = [_canon_rows(ctx, x, target.moduli) for x in homs]
+    return [x for x in basis if not linalg.is_zero(x)]
 
 
 def _verify_iso(source, target, x):

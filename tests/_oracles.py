@@ -204,3 +204,43 @@ def fixed_space_rank(modulus: int, action, order: int) -> int:
     if total % order:
         raise RuntimeError("trace average is not an integer")
     return total // order
+
+
+def hom_space_entrywise(p, precision, sigma1, moduli1, sigma2, moduli2, kernel) -> list:
+    """Matrices spanning Hom(M1, M2) mod p^N, solved entry by entry.
+
+    M_i is Z^m_i modulo p^N and the diagonal lattice of moduli_i (None
+    for a free coordinate), with sigma_i an integer matrix.  Entry (r, c)
+    of a hom matrix is a multiple of p^max(0, e_r - f_c), with f and e
+    the coordinate annihilator exponents of M1 and M2; substituting that
+    scaling leaves the sigma-equivariance equations on all m1 m2 entries,
+    row r scaled by p^(N - e_r).  kernel(rows) returns generators
+    (lists) of the congruence kernel mod p^N of that system, the one
+    routine borrowed from the caller.  The matrices come back as row
+    lists mod p^N, not reduced by the target moduli.
+    """
+    modulus = p**precision
+    m1, m2 = len(moduli1), len(moduli2)
+
+    def exponents(moduli):
+        return [precision if q is None else padic_valuation(p, q) for q in moduli]
+
+    f, e = exponents(moduli1), exponents(moduli2)
+    gap = [[max(0, e[r] - f[c]) for c in range(m1)] for r in range(m2)]
+    unknowns = m1 * m2
+    rows = []
+    for r in range(m2):
+        scale = p ** (precision - e[r])
+        for c in range(m1):
+            row = [0] * unknowns
+            for k in range(m1):
+                row[r * m1 + k] += p ** gap[r][k] * sigma1[k][c]
+            for k in range(m2):
+                row[k * m1 + c] -= p ** gap[k][c] * sigma2[r][k]
+            rows.append([(v * scale) % modulus for v in row])
+    basis = []
+    for col in kernel(rows or [[0] * unknowns]):
+        x = [[p ** gap[r][c] * col[r * m1 + c] % modulus for c in range(m1)] for r in range(m2)]
+        if any(any(row) for row in x):
+            basis.append(x)
+    return basis

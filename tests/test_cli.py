@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,14 @@ def test_verify_capped_search_exits_two(capsys):
     )
     assert code == 2
     assert json.loads(out)["status"] == "undecided"
+
+
+@pytest.mark.parametrize("suite", ["splitting", "lemma2", "negative"])
+def test_verify_offers_every_battery(capsys, suite):
+    code, out, _ = run(capsys, "--format", "machine", "verify", suite)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{suite}.json"
+    assert json.loads(out)["checks"] == json.loads(golden.read_text())["checks"]
 
 
 def test_verify_lemma3_capped(capsys):

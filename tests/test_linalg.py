@@ -200,12 +200,14 @@ def _unit_mod_3(x):
 
 def test_search_enumerates_a_span_without_units_in_full():
     # Rank-one matrices mod 3; the third member repeats the first two mod
-    # 3 and the last is zero mod 3, so the mod-p rank is 2.
+    # 3 and the last is zero mod 3, so the mod-p rank is 2.  The zero
+    # member is never tried: three members, then 3**2 - 1 combinations.
     members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[2, 1], [0, 0]], [[3, 0], [0, 3]])
     verify, calls = _counting(_unit_mod_3)
     miss = linalg.search_invertible(members, 27, 3, verify, IsoSearchConfig())
     assert miss == linalg.SearchMiss(rank=2, enumerated=True)
-    assert len(calls) - len(members) == 3**2 - 1
+    assert len(calls) == 3 + 3**2 - 1
+    assert not any(np.array_equal(x, members[3]) for x in calls)
 
 
 def test_search_samples_past_the_enumeration_bound():
