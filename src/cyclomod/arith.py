@@ -1,126 +1,17 @@
-"""Scalars mod p^N and the group ring Zp[G] for G cyclic of order p^n.
+"""The group ring Zp[G] for G cyclic of order p^n.
 
-Truncated p-adic integers are exact as long as every quantity of
-interest stays below the precision ceiling.  The one place truncation
-could lie is the valuation of zero: a residue equal to 0 mod p^N might
-be an actual zero or an element of valuation >= N.  valuation() returns
-the SATURATED marker in that case instead of a number, so callers are
-forced to treat "zero at this precision" as its own answer.
+Elements are coefficient tuples of residues mod p^N in the basis
+1, sigma, ..., sigma^(p^n - 1); regular_matrix() is the action on the
+ring itself, from which presentations build their relation lattices.
+Valuations of residues are linalg.valuation_int.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
 from . import linalg
 from .config import GroupConfig
-from .errors import NotAUnit
-
-
-@total_ordering
-class _Saturated:
-    """Valuation marker for residues that vanish mod p^N.
-
-    Compares greater than every integer, so threshold checks like
-    ``val >= e`` do the right thing for honest-to-goodness zeros.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SATURATED"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __lt__(self, other):
-        if isinstance(other, (int, np.integer)):
-            return False
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash("SATURATED")
-
-
-SATURATED = _Saturated()
-
-
-@dataclass(frozen=True)
-class PadicInt:
-    """A residue in Z/p^N standing in for a p-adic integer."""
-
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        if self.p < 2 or self.precision < 1:
-            raise ValueError("need p >= 2 and precision >= 1")
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-    def valuation(self):
-        """p-valuation, or SATURATED when the residue is 0 mod p^N."""
-        if self.value == 0:
-            return SATURATED
-        v = 0
-        x = self.value
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def unit_inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise NotAUnit(f"{self.value} has positive valuation at p={self.p}")
-        return self._wrap(pow(self.value, -1, self.modulus))
-
-    def _wrap(self, value: int) -> "PadicInt":
-        return PadicInt(self.p, self.precision, value)
-
-    def _check(self, other: "PadicInt"):
-        if not isinstance(other, PadicInt):
-            raise TypeError(f"expected PadicInt, got {type(other).__name__}")
-        if (other.p, other.precision) != (self.p, self.precision):
-            raise ValueError("mixed moduli in PadicInt arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap(self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap(self.value - other.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._wrap(self.value * other)
-        self._check(other)
-        return self._wrap(self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def __repr__(self) -> str:
-        return f"PadicInt({self.value} mod {self.p}^{self.precision})"
 
 
 class GroupRingElement:
@@ -133,18 +24,11 @@ class GroupRingElement:
 
     def __init__(self, cfg: GroupConfig, values):
         d = cfg.order
-        vals = [int(v.value if isinstance(v, PadicInt) else v) % cfg.modulus for v in values]
+        vals = [int(v) % cfg.modulus for v in values]
         if len(vals) != d:
             raise ValueError(f"need {d} coefficients, got {len(vals)}")
         self.cfg = cfg
         self.values = tuple(vals)
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(PadicInt(self.cfg.p, self.cfg.precision, v) for v in self.values)
-
-    def augmentation(self) -> PadicInt:
-        return PadicInt(self.cfg.p, self.cfg.precision, sum(self.values))
 
     def _check(self, other: "GroupRingElement"):
         if not isinstance(other, GroupRingElement):
@@ -228,10 +112,6 @@ class GroupRingElement:
 
 def zero_element(cfg: GroupConfig) -> GroupRingElement:
     return GroupRingElement(cfg, [0] * cfg.order)
-
-
-def one_element(cfg: GroupConfig) -> GroupRingElement:
-    return sigma_power(cfg, 0)
 
 
 def sigma_power(cfg: GroupConfig, t: int) -> GroupRingElement:

@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=25, help="axioms: modules per config")
     v.add_argument("--r", type=int, default=None, help="prop5: number of cyclic summands")
     v.add_argument("--e", type=int, action="append", default=None, help="prop5: summand exponent (repeatable)")
-    v.add_argument("--unit-rank", type=int, default=None, help="prop5: accepted for interface parity; the comparison is rank-neutral")
     return top
 
 

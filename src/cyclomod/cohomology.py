@@ -17,6 +17,13 @@ swallow a genuine class, since those all have order dividing p^level.
 This stays correct even when the model's structure constants are
 residues of p-adic numbers with no exact integer lift.
 
+A group costs three eliminations, each keeping only the transforms it
+reads: the boundary kernel system (column transform), the relation
+system [nu | -de] of numerator against denominator generators (both,
+kept for reduce()), and the relations it yields (row transforms).
+reduce() may take any solution of the relation system: two differ by
+a relation, which moves coordinate k by a multiple of p^(f_k).
+
 Restriction and corestriction are realized on representatives.  With
 nu(j, i) the sum of sigma^(t * p^(n-j)) over 0 <= t < p^(j-i), i.e. the
 coset sum of the level-i subgroup inside the level-j one:
@@ -67,8 +74,6 @@ class TateGroup:
         if level == 0:
             self.invariants = ()
             self.generators = []
-            self._slots = []
-            self._solve_mat = None
             return
         # Model matrices are canonical residues mod p^N, so an entry of
         # true valuation >= N is indistinguishable from zero and every
@@ -88,16 +93,14 @@ class TateGroup:
         self._ctx = ctx
         m = module.model_dim
         step = cfg.p ** (cfg.n - level)
-        tau = module.act_matrix(sigma_power(cfg, step))
+        # act_matrix hands out cached arrays: build new ones, never mutate.
+        tau_1 = (module.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, m)) % ctx.modulus
         nm = module.act_matrix(subgroup_norm(cfg, level))
-        ident = linalg.eye(ctx, m)
-        if degree % 2 == 0:
-            a_mat, b_mat = (_lift(ctx, tau) - ident) % ctx.modulus, _lift(ctx, nm)
-        else:
-            a_mat, b_mat = _lift(ctx, nm), (_lift(ctx, tau) - ident) % ctx.modulus
-        tc = _lift(ctx, module.torsion_column_matrix())
+        a_mat, b_mat = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
+        tc = module.torsion_column_matrix()
+        # Elimination 1, the boundary kernel: only right and dvals are read.
         ksys = linalg.hstack(ctx, [a_mat, (-tc) % ctx.modulus])
-        ksm = linalg.smith(ctx, ksys)
+        ksm = linalg.smith(ctx, ksys, rows=False)
         floor = cfg.precision - max(ksm.dvals, default=0)
         if floor < level:
             raise PrecisionExhausted(
@@ -111,10 +114,12 @@ class TateGroup:
         nu = linalg.hstack(ctx, [ker, tc, b_mat])
         de = linalg.hstack(ctx, [b_mat, tc, noise])
         q = nu.shape[1]
-        rel = linalg.kernel_cols(
-            ctx, linalg.hstack(ctx, [nu, (-de) % ctx.modulus])
-        )[:q, :]
-        sm = linalg.smith(ctx, rel)
+        # Elimination 2, the relation system: reduce() solves on it.
+        system = linalg.hstack(ctx, [nu, (-de) % ctx.modulus])
+        ssm = linalg.smith(ctx, system)
+        rel = linalg.kernel_cols(ctx, system, sm=ssm)[:q, :]
+        # Elimination 3, the relations: right is never read.
+        sm = linalg.smith(ctx, rel, cols=False)
         if len(sm.dvals) < q:
             raise CyclomodError(
                 "cohomology subquotient came out infinite; this indicates "
@@ -134,8 +139,8 @@ class TateGroup:
             self.generators.append(module.element_from_model_coords(col.ravel()))
         self._slots = [k for k, _ in slots]
         self._left = sm.left
-        self._solve_mat = linalg.hstack(ctx, [nu, de])
-        self._solve_smith = linalg.smith(ctx, self._solve_mat)
+        self._system = system
+        self._system_smith = ssm
         self._q = q
 
     @property
@@ -156,22 +161,19 @@ class TateGroup:
         if elt.module is not self.module:
             raise ValueError("element belongs to a different module")
         ctx = self._ctx
-        sol = linalg.solve(
-            ctx, self._solve_mat, _lift(ctx, elt.column()), sm=self._solve_smith
-        )
+        sol = linalg.solve(ctx, self._system, elt.column(), sm=self._system_smith)
         if sol is None:
             raise PreconditionViolated(
                 "element is not in the numerator of this cohomology group"
             )
+        # Solutions differ in z by members of rel, and row k of left @ rel
+        # is divisible by p^(f_k): any solution gives the same coordinates.
         z = sol[: self._q, :]
         y = linalg.matmul(ctx, self._left, z)
         p = self.module.cfg.p
         return tuple(
             int(y[k, 0]) % (p**f) for k, f in zip(self._slots, self.invariants)
         )
-
-    def classes_equal(self, a: ElementVector, b: ElementVector) -> bool:
-        return self.reduce(a) == self.reduce(b)
 
     def __repr__(self) -> str:
         p = self.module.cfg.p
@@ -180,11 +182,6 @@ class TateGroup:
             f"TateGroup(degree {self.degree}, level {self.level}: "
             f"{parts if parts else '0'})"
         )
-
-
-def _lift(ctx: linalg.Context, a: np.ndarray) -> np.ndarray:
-    """Recast canonical residues into another context's dtype."""
-    return np.array(a, dtype=ctx.dtype) % ctx.modulus
 
 
 def coset_sum(cfg: GroupConfig, upper: int, lower: int) -> GroupRingElement:
@@ -242,15 +239,19 @@ class CohomMap:
         numerator; reduce() raises otherwise.
         """
         ctx = target.module.ctx
-        cols = []
-        for gen in source.generators:
-            img_col = linalg.matmul(ctx, rep_matrix, gen.column())
-            img = target.module.element_from_model_coords(img_col.ravel())
-            cols.append(target.reduce(img))
+
+        def image(gen: ElementVector) -> ElementVector:
+            col = linalg.matmul(ctx, rep_matrix, gen.column())
+            return target.module.element_from_model_coords(col.ravel())
+
+        return cls._from_images(source, target, image)
+
+    @classmethod
+    def _from_images(cls, source: TateGroup, target: TateGroup, image) -> "CohomMap":
+        """The map whose column j is target.reduce(image(generator j))."""
         mat = np.zeros((len(target.invariants), len(source.invariants)), dtype=np.int64)
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                mat[i, j] = v
+        for j, gen in enumerate(source.generators):
+            mat[:, j] = target.reduce(image(gen))
         return cls(source, target, mat)
 
     @classmethod
@@ -415,8 +416,8 @@ def connecting_iso(
             "solve denominators leave too little headroom for the class "
             "coordinates; raise the working precision"
         )
-    cols = []
-    for gen in src.generators:
+
+    def image(gen: ElementVector) -> ElementVector:
         lifted = linalg.solve(ctx, lift_sys, gen.column(), sm=sm_lift)
         if lifted is None:
             raise PreconditionViolated("proj misses a cohomology representative")
@@ -426,10 +427,6 @@ def connecting_iso(
             raise PreconditionViolated(
                 "boundary of a lifted representative escapes the image of inc"
             )
-        elt = a_mod.element_from_model_coords(pulled[: a_mod.model_dim, :].ravel())
-        cols.append(tgt.reduce(elt))
-    mat = np.zeros((len(tgt.invariants), len(src.invariants)), dtype=np.int64)
-    for j, red in enumerate(cols):
-        for i, v in enumerate(red):
-            mat[i, j] = v
-    return CohomMap(src, tgt, mat)
+        return a_mod.element_from_model_coords(pulled[: a_mod.model_dim, :].ravel())
+
+    return CohomMap._from_images(src, tgt, image)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 
+from . import linalg
 from .config import GroupConfig
 from .constructions import ExtensionData, Theorem1Input, zero_extension
 from .errors import ParseError
@@ -207,14 +208,7 @@ def extension_to_dict(ext: ExtensionData) -> dict:
     d = cfg.order
     # serialize through the kernel's coordinate model: one generator per
     # model coordinate, so elements are their own coordinate vectors
-    exps = []
-    for q in kernel.moduli:
-        e = 0
-        qq = int(q)
-        while qq > 1:
-            qq //= cfg.p
-            e += 1
-        exps.append(e)
+    exps = [linalg.valuation_int(kernel.ctx, q) for q in kernel.moduli]
     t = kernel.model_dim
     action = [[int(kernel.sigma_matrix[i, j]) for j in range(t)] for i in range(t)]
     if all(v.is_zero() for row in ext.cocycle for v in row):

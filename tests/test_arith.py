@@ -1,4 +1,4 @@
-"""Scalar and group-ring arithmetic, plus the smith form over Z/p^N."""
+"""Group-ring arithmetic, plus the smith form over Z/p^N."""
 
 import random
 
@@ -7,53 +7,16 @@ import pytest
 
 from cyclomod import linalg
 from cyclomod.arith import (
-    SATURATED,
     GroupRingElement,
-    PadicInt,
     norm_element,
-    one_element,
     sigma_power,
     subgroup_norm,
     zero_element,
 )
 from cyclomod.config import GroupConfig
-from cyclomod.errors import NotAUnit, PrecisionExhausted
+from cyclomod.errors import PrecisionExhausted
 
 from _oracles import cokernel_valuations_mod_pN
-
-
-def test_padic_multiplication_wraps():
-    a = PadicInt(3, 4, 5)
-    b = PadicInt(3, 4, 20)
-    assert (a * b).value == 19  # 100 mod 81
-
-
-def test_padic_unit_inverse():
-    two = PadicInt(3, 4, 2)
-    assert two.unit_inverse().value == 41
-    assert (two * two.unit_inverse()).value == 1
-    with pytest.raises(NotAUnit):
-        PadicInt(3, 4, 6).unit_inverse()
-
-
-def test_padic_valuation_and_saturation():
-    assert PadicInt(3, 4, 18).valuation() == 2
-    assert PadicInt(3, 4, 1).valuation() == 0
-    assert PadicInt(3, 4, 81).valuation() is SATURATED
-    assert PadicInt(3, 4, 0).valuation() is SATURATED
-
-
-def test_saturated_marker_ordering():
-    assert SATURATED > 10**9
-    assert not (SATURATED < 3)
-    assert SATURATED >= 7
-    assert SATURATED == SATURATED
-    assert SATURATED != 12
-
-
-def test_padic_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        PadicInt(3, 4, 1) + PadicInt(3, 5, 1)
 
 
 def cfg(p=3, n=1, precision=6):
@@ -63,13 +26,13 @@ def cfg(p=3, n=1, precision=6):
 def test_group_ring_basic_identities():
     c = cfg()
     s = sigma_power(c, 1)
-    one = one_element(c)
+    one = sigma_power(c, 0)
     nm = norm_element(c)
     assert s * s * s == one
     assert (s - one) * nm == zero_element(c)
     assert nm * nm == 3 * nm
-    assert nm.augmentation().value == 3
-    assert (s - one).augmentation().value == 0
+    assert sum(nm.values) % c.modulus == 3
+    assert sum((s - one).values) % c.modulus == 0
 
 
 def test_group_ring_convolution_order():
@@ -81,15 +44,8 @@ def test_subgroup_norm_support():
     c = cfg(n=2, precision=8)
     nm1 = subgroup_norm(c, 1)
     assert nm1.values == (1, 0, 0, 1, 0, 0, 1, 0, 0)
-    assert subgroup_norm(c, 0) == one_element(c)
+    assert subgroup_norm(c, 0) == sigma_power(c, 0)
     assert subgroup_norm(c, 2) == norm_element(c)
-
-
-def test_group_ring_coeffs_are_padic():
-    c = cfg()
-    e = GroupRingElement(c, [4, 0, 9])
-    assert all(isinstance(x, PadicInt) for x in e.coeffs)
-    assert e.coeffs[2].valuation() == 2
 
 
 def test_regular_matrix_is_cyclic_shift():

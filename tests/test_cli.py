@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, report formats, error surfaces."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cyclomod
 from cyclomod import fileio
 from cyclomod.cli import main
 from cyclomod.config import GroupConfig
@@ -82,9 +84,10 @@ def test_missing_file_fails(docs, capsys):
 
 
 def test_usage_error_exits_one(capsys):
-    code, _, err = run(capsys, "verify", "prop4", "--bogus")
-    assert code == 1
-    assert "error" in err
+    for argv in (["verify", "prop4", "--bogus"], ["verify", "prop5", "--unit-rank", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error" in err
 
 
 def test_help_exits_zero(capsys):
@@ -215,10 +218,14 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # The child imports the package the tests import, installed or not.
+    src = str(Path(cyclomod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclomod.cli", "--format", "machine", "verify", "prop4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
