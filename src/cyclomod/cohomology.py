@@ -143,10 +143,6 @@ class TateGroup:
         self._system_smith = ssm
         self._q = q
 
-    @property
-    def parity(self) -> int:
-        return self.degree % 2
-
     def is_trivial(self) -> bool:
         return not self.invariants
 
@@ -227,7 +223,7 @@ class CohomMap:
     def __init__(self, source: TateGroup, target: TateGroup, matrix: np.ndarray):
         self.source = source
         self.target = target
-        self.matrix = _canon_map_matrix(matrix, target)
+        self.matrix = canon_map_matrix(matrix, target.module.cfg.p, target.invariants)
 
     @classmethod
     def from_representative_matrix(
@@ -262,17 +258,6 @@ class CohomMap:
             mat[i, i] = c
         return cls(group, group, mat)
 
-    def apply(self, coords) -> tuple:
-        coords = tuple(coords)
-        if len(coords) != len(self.source.invariants):
-            raise ValueError("coordinate tuple has wrong length")
-        p = self.target.module.cfg.p
-        out = []
-        for i, f in enumerate(self.target.invariants):
-            total = sum(int(self.matrix[i, j]) * c for j, c in enumerate(coords))
-            out.append(total % (p**f))
-        return tuple(out)
-
     def compose(self, inner: "CohomMap") -> "CohomMap":
         if inner.target is not self.source:
             raise ValueError("composition mismatch")
@@ -299,13 +284,14 @@ class CohomMap:
         return f"CohomMap({self.source} -> {self.target})"
 
 
-def _canon_map_matrix(matrix, target: TateGroup) -> np.ndarray:
-    p = target.module.cfg.p
+def canon_map_matrix(matrix, p: int, exps) -> np.ndarray:
+    """A map into the finite group with cyclic summand exponents exps, as
+    an int64 matrix whose row r is reduced mod p^exps[r]."""
     mat = np.array(matrix, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[0] != len(target.invariants):
+    if mat.ndim != 2 or mat.shape[0] != len(exps):
         raise ValueError("map matrix has wrong shape")
-    for i, f in enumerate(target.invariants):
-        mat[i, :] %= p**f
+    for r, f in enumerate(exps):
+        mat[r, :] %= p**f
     return mat
 
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .arith import GroupRingElement, norm_element, sigma_power, zero_element
 from .cohomology import corestriction, induced_map, restriction, tate
@@ -46,6 +44,7 @@ from .modules import (
     Submodule,
     _Model,
     _canon_rows,
+    _is_module,
     augmentation_ideal,
     descend_to_quotient,
     direct_sum,
@@ -233,10 +232,7 @@ def splitting_module(ext: ExtensionData) -> SplittingModule:
         for i, v in enumerate(f[1][a].coords):
             sig[i, col] += int(v)
     sig = _canon_rows(ctx, sig % ctx.modulus, moduli)
-    power = linalg.eye(ctx, total)
-    for _ in range(d):
-        power = _canon_rows(ctx, linalg.matmul(ctx, sig, power), moduli)
-    if not np.array_equal(power, _canon_rows(ctx, linalg.eye(ctx, total), moduli)):
+    if not _is_module(ctx, sig, moduli, d):
         raise NotACocycle("assembled action does not have the group order")
     names = [f"a{i}" for i in range(ma)] + [f"b{a}" for a in range(1, d)]
     module = PresentedModule._from_model(cfg, _Model(moduli, sig), names=names)

@@ -175,7 +175,7 @@ class PresentedModule:
 
     # -- structure ---------------------------------------------------
 
-    @property
+    @functools.cached_property
     def ctx(self) -> linalg.Context:
         return linalg.context_of(self.cfg)
 
@@ -412,22 +412,10 @@ class ModuleHom:
         for img in images:
             if img.module is not target:
                 raise ValueError("images must lie in the target module")
-        cfg = source.cfg
         ctx = target.ctx
-        d = cfg.order
-        m_t = target.model_dim
-        blocks = []
-        for img in images:
-            w = linalg.zeros(ctx, m_t, d)
-            col = img.column()
-            for t in range(d):
-                w[:, t] = col.ravel()
-                col = linalg.matmul(ctx, target.sigma_matrix, col)
-            blocks.append(w)
-        mat = linalg.zeros(ctx, m_t, source.model_dim)
-        for g, w in enumerate(blocks):
-            piece = linalg.matmul(ctx, w, source._lift[g * d : (g + 1) * d, :])
-            mat = (mat + piece) % ctx.modulus
+        cols = [img.column() for img in images]
+        orbits = _orbits(ctx, target.sigma_matrix, cols, source.cfg.order)
+        mat = linalg.matmul(ctx, orbits, source._lift)
         # Well-definedness comes down to two checks on the assembled
         # matrix: it must be a valid hom of the normalized models, and it
         # must reproduce the requested generator images.  Together these

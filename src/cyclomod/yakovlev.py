@@ -14,10 +14,17 @@ this diagram is a complete isomorphism invariant of the stable module
 class, which is why the package treats it as the primary fingerprint.
 
 A diagram can exist detached from any module (e.g. loaded from a file);
-check_axioms validates the abstract data, and diagrams_isomorphic
-decides equivalence by solving the equivariance constraints and then
-searching the solution space for a family invertible mod p, with the
-search linalg.search_invertible shares with the module oracle.
+check_axioms validates the abstract data.  diagrams_isomorphic looks for
+level matrices X_i : H_i -> H'_i, invertible mod p, with X_t A = A' X_s
+for every arrow: _arrows lists the maps of a diagram as (source level,
+target level, matrix), sigma_1 .. sigma_n and then alpha_i, beta_i.
+Writing X_i = G_i * Y_i entrywise, G_i[r, c] = p^max(0, f'_r - f_c), makes
+every X_i well defined, and an arrow pair becomes one block of linear
+congruences in the row-major entries of the Y_i (row r holds mod p^(f'_r)
+and is scaled to the common working modulus).  The kernel of the stacked
+blocks is searched for an invertible family with the search
+linalg.search_invertible shares with the module oracle, and each
+candidate is checked again square by square.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .arith import sigma_power
-from .cohomology import CohomMap, corestriction, restriction, tate
+from .cohomology import CohomMap, canon_map_matrix, corestriction, restriction, tate
 from .config import IsoSearchConfig
 from .errors import AxiomViolation, ParseError
 from .modules import PresentedModule
@@ -99,22 +106,22 @@ class YakovlevDiagram:
             invariants = tuple(tuple(int(x) for x in lv["invariants"]) for lv in levels)
             sizes = [len(inv) for inv in invariants]
             sigma = tuple(
-                _toarray(lv["sigma"], (sizes[i], sizes[i]))
+                _toarray(lv["sigma"], p, invariants[i], sizes[i])
                 for i, lv in enumerate(levels)
             )
             if len(data["alpha"]) != max(n - 1, 0) or len(data["beta"]) != max(n - 1, 0):
                 raise ParseError("wrong number of connecting maps")
             alpha = tuple(
-                _toarray(data["alpha"][i], (sizes[i + 1], sizes[i]))
+                _toarray(data["alpha"][i], p, invariants[i + 1], sizes[i])
                 for i in range(n - 1)
             )
             beta = tuple(
-                _toarray(data["beta"][i], (sizes[i], sizes[i + 1]))
+                _toarray(data["beta"][i], p, invariants[i], sizes[i + 1])
                 for i in range(n - 1)
             )
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed diagram record: {exc}") from exc
         return cls(p=p, n=n, invariants=invariants, sigma=sigma, alpha=alpha, beta=beta)
 
@@ -124,14 +131,18 @@ def _tolist(mat) -> list:
     return [[int(x) for x in row] for row in a]
 
 
-def _toarray(rows, shape) -> np.ndarray:
-    if not len(rows):
-        a = np.zeros(shape, dtype=np.int64)
-    else:
-        a = np.array(rows, dtype=np.int64)
+def _toarray(rows, p: int, exps, cols: int) -> np.ndarray:
+    """A map matrix with row r reduced mod p^exps[r] in Python integers,
+    so that no entry is cast to int64 before it is reduced."""
+    shape = (len(exps), cols)
+    a = np.array(rows, dtype=object) if len(rows) else np.zeros(shape, dtype=object)
     if a.shape != shape:
         raise ParseError(f"matrix has shape {a.shape}, expected {shape}")
-    return a
+    reduced = [[int(x) % p ** max(f, 0) for x in row] for row, f in zip(a, exps)]
+    try:
+        return np.array(reduced, dtype=np.int64).reshape(shape)
+    except OverflowError as exc:
+        raise ParseError(f"matrix entry out of range after reduction: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -175,11 +186,11 @@ def delta(module: PresentedModule) -> YakovlevDiagram:
     return diagram
 
 
-def _row_mod(mat: np.ndarray, p: int, exps) -> np.ndarray:
-    out = np.array(mat, dtype=np.int64).copy()
-    for r, f in enumerate(exps):
-        out[r, :] %= p**f
-    return out
+def _gap_matrix(p: int, src_exps, tgt_exps) -> np.ndarray:
+    """G[r, c] = p^max(0, f_r - f_c): entries of a map into a larger
+    summand must carry the exponent gap."""
+    gaps = [[p ** max(0, fr - fc) for fc in src_exps] for fr in tgt_exps]
+    return np.array(gaps, dtype=object).reshape(len(tgt_exps), len(src_exps))
 
 
 def _hom_shape_ok(mat, src_exps, tgt_exps) -> bool:
@@ -187,20 +198,15 @@ def _hom_shape_ok(mat, src_exps, tgt_exps) -> bool:
 
 
 def _hom_divisibility(mat, p, src_exps, tgt_exps) -> bool:
-    """Entries into a larger summand must carry the exponent gap."""
-    for r, fr in enumerate(tgt_exps):
-        for c, fc in enumerate(src_exps):
-            gap = max(0, fr - fc)
-            if int(mat[r, c]) % (p**gap):
-                return False
-    return True
+    residues = np.asarray(mat).astype(object) % _gap_matrix(p, src_exps, tgt_exps)
+    return not residues.any()
 
 
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int, exps) -> np.ndarray:
     size = len(exps)
     out = np.eye(size, dtype=np.int64)
     for _ in range(e):
-        out = _row_mod(out @ mat, p, exps)
+        out = canon_map_matrix(out @ mat, p, exps)
     return out
 
 
@@ -229,8 +235,8 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
             problems.append(f"level {i}: sigma is not a well-defined endomorphism")
         order = p ** (n - i)
         if not np.array_equal(
-            _mat_pow_mod(_row_mod(sig, p, exps), order, p, exps),
-            _row_mod(np.eye(len(exps), dtype=np.int64), p, exps),
+            _mat_pow_mod(canon_map_matrix(sig, p, exps), order, p, exps),
+            canon_map_matrix(np.eye(len(exps), dtype=np.int64), p, exps),
         ):
             problems.append(f"level {i}: sigma^(p^{n - i}) is not the identity")
     for i in range(1, n):
@@ -241,24 +247,25 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
         if not _hom_shape_ok(a, lo, hi) or not _hom_shape_ok(b, hi, lo):
             problems.append(f"levels {i}->{i + 1}: connecting map shape mismatch")
             continue
-        if not _hom_divisibility(a, p, lo, hi):
-            problems.append(f"alpha_{i} is not a well-defined homomorphism")
-        if not _hom_divisibility(b, p, hi, lo):
-            problems.append(f"beta_{i} is not a well-defined homomorphism")
-        sig_lo = _row_mod(diagram.sigma[i - 1], p, lo)
-        sig_hi = _row_mod(diagram.sigma[i], p, hi)
-        if not np.array_equal(_row_mod(a @ sig_lo, p, hi), _row_mod(sig_hi @ a, p, hi)):
-            problems.append(f"alpha_{i} does not commute with sigma")
-        if not np.array_equal(_row_mod(b @ sig_hi, p, lo), _row_mod(sig_lo @ b, p, lo)):
-            problems.append(f"beta_{i} does not commute with sigma")
-        ab = _row_mod(a @ b, p, hi)
-        if not np.array_equal(ab, _row_mod(p * np.eye(len(hi), dtype=np.int64), p, hi)):
+        sig_lo = canon_map_matrix(diagram.sigma[i - 1], p, lo)
+        sig_hi = canon_map_matrix(diagram.sigma[i], p, hi)
+        pair = (("alpha", a, lo, hi, sig_lo, sig_hi), ("beta", b, hi, lo, sig_hi, sig_lo))
+        for name, m, src, tgt, _, _ in pair:
+            if not _hom_divisibility(m, p, src, tgt):
+                problems.append(f"{name}_{i} is not a well-defined homomorphism")
+        for name, m, src, tgt, sig_src, sig_tgt in pair:
+            if not np.array_equal(
+                canon_map_matrix(m @ sig_src, p, tgt), canon_map_matrix(sig_tgt @ m, p, tgt)
+            ):
+                problems.append(f"{name}_{i} does not commute with sigma")
+        ab = canon_map_matrix(a @ b, p, hi)
+        if not np.array_equal(ab, canon_map_matrix(p * np.eye(len(hi), dtype=np.int64), p, hi)):
             problems.append(f"alpha_{i} beta_{i} is not multiplication by {p}")
         coset = np.zeros((len(lo), len(lo)), dtype=np.int64)
         step = p ** (n - i - 1)
         for t in range(p):
-            coset = _row_mod(coset + _mat_pow_mod(sig_lo, t * step, p, lo), p, lo)
-        if not np.array_equal(_row_mod(b @ a, p, lo), coset):
+            coset = canon_map_matrix(coset + _mat_pow_mod(sig_lo, t * step, p, lo), p, lo)
+        if not np.array_equal(canon_map_matrix(b @ a, p, lo), coset):
             problems.append(f"beta_{i} alpha_{i} is not the coset-sum action")
     return problems
 
@@ -266,124 +273,54 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
 # -- isomorphism search ------------------------------------------------
 
 
-def _unknown_layout(d1: YakovlevDiagram, d2: YakovlevDiagram):
-    """Offsets of the per-level matrix unknowns in one flat vector."""
-    offsets = []
-    total = 0
-    for i in range(d1.n):
-        rows = len(d2.invariants[i])
-        cols = len(d1.invariants[i])
-        offsets.append((total, rows, cols))
-        total += rows * cols
-    return offsets, total
+def _arrows(diagram: YakovlevDiagram) -> list:
+    """Every map of the diagram as (source level, target level, matrix),
+    levels counted from 0: sigma_1 .. sigma_n, then alpha_i and beta_i."""
+    arrows = [(i, i, sig) for i, sig in enumerate(diagram.sigma)]
+    for i in range(diagram.n - 1):
+        arrows += [(i, i + 1, diagram.alpha[i]), (i + 1, i, diagram.beta[i])]
+    return arrows
 
 
-def _assemble(level, y_vec, offsets, d1, d2, p) -> np.ndarray:
-    """Level matrix from the unknown vector: X[r,c] = p^gap * Y[r,c]."""
-    off, rows, cols = offsets[level]
-    tgt = d2.invariants[level]
-    src = d1.invariants[level]
-    x = np.zeros((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            gap = max(0, tgt[r] - src[c])
-            x[r, c] = (p**gap) * int(y_vec[off + r * cols + c])
-    return _row_mod(x, p, tgt)
+def _constraint_matrix(d1, d2, gaps, work_prec) -> np.ndarray:
+    """X_t A1 = A2 X_s for every arrow pair, as rows in the unknowns Y_i.
 
-
-def _constraint_rows(d1, d2, offsets, total, work_prec):
-    """Homogeneous congruence rows in the flattened unknowns.
-
-    Every constraint "(combination) = 0 mod p^f" is scaled by
-    p^(work_prec - f) so that all rows live mod p^work_prec.
+    With each Y_i flattened row-major and X_i = G_i * Y_i entrywise,
+    vec(X_t A1) = (I kron A1^T) diag(vec G_t) vec(Y_t) and
+    vec(A2 X_s) = (A2 kron I) diag(vec G_s) vec(Y_s).  Row r of a block
+    holds mod p^f (f the exponent of summand r of level t in d2) and is
+    scaled by p^(work_prec - f), so that all rows live mod p^work_prec.
+    Entries are exact Python integers.
     """
     p = d1.p
-    rows = []
-
-    def x_entry_coeff(level, r, c):
-        off, _, cols = offsets[level]
-        gap = max(0, d2.invariants[level][r] - d1.invariants[level][c])
-        return off + r * cols + c, p**gap
-
-    def add_equation(level_tgt, terms, modulus_exp):
-        scale = p ** (work_prec - modulus_exp)
-        row = [0] * total
-        for idx, coeff in terms:
-            row[idx] += coeff * scale
-        rows.append(row)
-
-    for i in range(d1.n):
-        tgt = d2.invariants[i]
-        src = d1.invariants[i]
-        s1 = d1.sigma[i]
-        s2 = d2.sigma[i]
-        # X sigma1 = sigma2 X, row r column c, mod p^tgt[r]
-        for r in range(len(tgt)):
-            for c in range(len(src)):
-                terms = []
-                for k in range(len(src)):
-                    idx, base = x_entry_coeff(i, r, k)
-                    terms.append((idx, base * int(s1[k, c])))
-                for k in range(len(tgt)):
-                    idx, base = x_entry_coeff(i, k, c)
-                    terms.append((idx, -int(s2[r, k]) * base))
-                add_equation(i, terms, tgt[r])
-    for i in range(d1.n - 1):
-        lo1, hi1 = d1.invariants[i], d1.invariants[i + 1]
-        lo2, hi2 = d2.invariants[i], d2.invariants[i + 1]
-        a1, a2 = d1.alpha[i], d2.alpha[i]
-        b1, b2 = d1.beta[i], d2.beta[i]
-        # X_(i+1) alpha1 = alpha2 X_i  mod p^hi2[r]
-        for r in range(len(hi2)):
-            for c in range(len(lo1)):
-                terms = []
-                for k in range(len(hi1)):
-                    idx, base = x_entry_coeff(i + 1, r, k)
-                    terms.append((idx, base * int(a1[k, c])))
-                for k in range(len(lo2)):
-                    idx, base = x_entry_coeff(i, k, c)
-                    terms.append((idx, -int(a2[r, k]) * base))
-                add_equation(i + 1, terms, hi2[r])
-        # X_i beta1 = beta2 X_(i+1)  mod p^lo2[r]
-        for r in range(len(lo2)):
-            for c in range(len(hi1)):
-                terms = []
-                for k in range(len(lo1)):
-                    idx, base = x_entry_coeff(i, r, k)
-                    terms.append((idx, base * int(b1[k, c])))
-                for k in range(len(hi2)):
-                    idx, base = x_entry_coeff(i + 1, k, c)
-                    terms.append((idx, -int(b2[r, k]) * base))
-                add_equation(i, terms, lo2[r])
-    return rows
+    offsets = np.cumsum([0] + [g.size for g in gaps])
+    blocks = []
+    for (s, t, a1), (_, _, a2) in zip(_arrows(d1), _arrows(d2)):
+        exps, cols = d2.invariants[t], len(d1.invariants[s])
+        block = np.zeros((len(exps) * cols, offsets[-1]), dtype=object)
+        left = np.kron(np.eye(len(exps), dtype=object), np.asarray(a1).T.astype(object))
+        right = np.kron(np.asarray(a2).astype(object), np.eye(cols, dtype=object))
+        block[:, offsets[t] : offsets[t + 1]] += left * gaps[t].ravel()
+        block[:, offsets[s] : offsets[s + 1]] -= right * gaps[s].ravel()
+        scale = np.array([p ** (work_prec - f) for f in exps for _ in range(cols)], dtype=object)
+        blocks.append(block * scale.reshape(-1, 1))
+    return np.vstack(blocks)
 
 
 def _verify_candidate(xs, d1, d2) -> bool:
-    """Honest re-check: well-defined, equivariant, invertible mod p."""
+    """Honest re-check: well-defined, invertible mod p, every square commutes."""
     p = d1.p
-    for i in range(d1.n):
-        x = xs[i]
-        src, tgt = d1.invariants[i], d2.invariants[i]
+    for x, src, tgt in zip(xs, d1.invariants, d2.invariants):
         if sorted(src) != sorted(tgt):
             return False
         if not _hom_divisibility(x, p, src, tgt):
             return False
         if len(tgt) and linalg.rank_mod_p(p, x) != len(tgt):
             return False
-        s1 = _row_mod(d1.sigma[i], p, src)
-        s2 = _row_mod(d2.sigma[i], p, tgt)
-        if not np.array_equal(_row_mod(x @ s1, p, tgt), _row_mod(s2 @ x, p, tgt)):
-            return False
-    for i in range(d1.n - 1):
-        hi2 = d2.invariants[i + 1]
-        lo2 = d2.invariants[i]
-        lhs = _row_mod(xs[i + 1] @ d1.alpha[i], p, hi2)
-        rhs = _row_mod(d2.alpha[i] @ xs[i], p, hi2)
-        if not np.array_equal(lhs, rhs):
-            return False
-        lhs = _row_mod(xs[i] @ d1.beta[i], p, lo2)
-        rhs = _row_mod(d2.beta[i] @ xs[i + 1], p, lo2)
-        if not np.array_equal(lhs, rhs):
+    for (s, t, a1), (_, _, a2) in zip(_arrows(d1), _arrows(d2)):
+        exps = d2.invariants[t]
+        lhs = canon_map_matrix(xs[t] @ a1, p, exps)
+        if not np.array_equal(lhs, canon_map_matrix(a2 @ xs[s], p, exps)):
             return False
     return True
 
@@ -414,26 +351,27 @@ def diagrams_isomorphic(
             )
     if n == 0 or all(len(inv) == 0 for inv in d1.invariants):
         return DiagramIso(tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(n)))
-    offsets, total = _unknown_layout(d1, d2)
+    gaps = [_gap_matrix(p, src, tgt) for src, tgt in zip(d1.invariants, d2.invariants)]
+    ends = np.cumsum([g.size for g in gaps])
     work_prec = max(max((max(inv) for inv in d1.invariants if inv), default=1), 1) + 2
-    rows = _constraint_rows(d1, d2, offsets, total, work_prec)
     # The system is exact (finite groups), so no guard band is needed.
     ctx = linalg.Context(p, work_prec, 0)
-    if rows:
-        mat = linalg.mat(ctx, rows)
+    system = _constraint_matrix(d1, d2, gaps, work_prec)
+    if len(system):
+        mat = linalg.mat(ctx, system % ctx.modulus)
     else:
-        mat = linalg.zeros(ctx, 1, total)
+        mat = linalg.zeros(ctx, 1, ends[-1])
     basis = linalg.kernel_cols(ctx, mat)
 
     def candidate_from(y_vec):
-        xs = [_assemble(i, y_vec, offsets, d1, d2, p) for i in range(n)]
+        ys = np.split(np.asarray(y_vec).astype(object), ends[:-1])
+        xs = [
+            canon_map_matrix(g * y.reshape(g.shape), p, tgt)
+            for g, y, tgt in zip(gaps, ys, d2.invariants)
+        ]
         return xs if _verify_candidate(xs, d1, d2) else None
 
-    ident_y = np.zeros(total, dtype=np.int64)
-    for i in range(n):
-        off, rcount, ccount = offsets[i]
-        for r in range(min(rcount, ccount)):
-            ident_y[off + r * ccount + r] = 1
+    ident_y = np.concatenate([np.eye(*g.shape, dtype=np.int64).ravel() for g in gaps])
     found = linalg.search_invertible(
         list(basis.T), p**work_prec, p, candidate_from, search, first=(ident_y,)
     )

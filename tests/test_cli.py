@@ -20,6 +20,7 @@ from cyclomod.constructions import (
 )
 from cyclomod.modules import augmentation_ideal, direct_sum, trivial_module
 from cyclomod.oracle import Iso, modules_isomorphic
+from cyclomod.yakovlev import delta
 
 C31 = GroupConfig(3, 1, 11)
 C32 = GroupConfig(3, 2, 12)
@@ -75,6 +76,18 @@ def test_wrong_document_kind_fails(docs, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("ParseError:")
+
+
+def test_diagram_document_with_huge_entry_is_rejected_cleanly(tmp_path, capsys):
+    data = delta(augmentation_ideal(C32)).to_dict()
+    data["levels"][0]["sigma"][0][0] += 2**70
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "delta", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError:")
+    assert "expected a PresentedModule document" in err
 
 
 def test_missing_file_fails(docs, capsys):

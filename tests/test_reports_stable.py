@@ -31,6 +31,24 @@ for t, p, n, N in (('p7n1', 7, 1, 11), ('p3n2', 3, 2, 12)) for e in (1, 2)]"
     cyclomod --format machine delta-compare /tmp/p3n2.J1.json /tmp/p3n2.J1.json \
         > tests/golden/cli/p3n2.delta-compare.json
 
+J1 against J1 is decided by the identity alone.  The
+<tag>.delta-compare-sums.json files compare A = ideal + Z/p + Z/p^2
+with B = Z/p^2 + ideal + Z/p, where the identity is rejected and the
+search returns non-identity level matrices read from the constraint
+basis: at C9 over two levels, at C8 over three (so alpha and beta
+enter at two level pairs).  At C7 the identity is accepted, so C7 is
+not used.  They are regenerated with
+
+    PYTHONPATH=src python -c "from cyclomod import fileio; \
+from cyclomod.config import GroupConfig; \
+from cyclomod.modules import augmentation_ideal as I, direct_sum as S, \
+trivial_module as T; \
+[(fileio.save_file(f'/tmp/{t}.A.json', S(I(c), T(c, 1), T(c, 2)).module), \
+fileio.save_file(f'/tmp/{t}.B.json', S(T(c, 2), I(c), T(c, 1)).module)) \
+for t, c in (('p3n2', GroupConfig(3, 2, 12)), ('p2n3', GroupConfig(2, 3, 12)))]"
+    cyclomod --format machine delta-compare /tmp/<tag>.A.json /tmp/<tag>.B.json \
+        > tests/golden/cli/<tag>.delta-compare-sums.json
+
 (`python -m cyclomod.cli` in place of `cyclomod` without an install).
 The reports name no file, so the documents may live anywhere.
 """
@@ -43,17 +61,32 @@ from cyclomod import fileio
 from cyclomod.cli import main
 from cyclomod.config import GroupConfig
 from cyclomod.constructions import j_module
+from cyclomod.modules import augmentation_ideal, direct_sum, trivial_module
 from cyclomod.suites import ALL_SUITES
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CLI_GROUPS = {"p7n1": GroupConfig(7, 1, 11), "p3n2": GroupConfig(3, 2, 12)}
+# (p, n, precision); built inside the test, where the p = 2 warning is filtered
+CLI_GROUPS = {"p7n1": (7, 1, 11), "p3n2": (3, 2, 12), "p2n3": (2, 3, 12)}
+CLI_DOCUMENTS = {
+    "J1": lambda c: j_module(c, 1),
+    "J2": lambda c: j_module(c, 2),
+    "A": lambda c: direct_sum(
+        augmentation_ideal(c), trivial_module(c, 1), trivial_module(c, 2)
+    ).module,
+    "B": lambda c: direct_sum(
+        trivial_module(c, 2), augmentation_ideal(c), trivial_module(c, 1)
+    ).module,
+}
+# (golden file stem, group tag, argv naming documents of CLI_DOCUMENTS)
 CLI_CASES = [
-    ("p7n1", "cohomology", ["cohomology", "--maps", "J1"]),
-    ("p7n1", "delta", ["delta", "J2"]),
-    ("p3n2", "cohomology", ["cohomology", "--maps", "J1"]),
-    ("p3n2", "delta", ["delta", "J2"]),
-    ("p3n2", "delta-compare", ["delta-compare", "J1", "J1"]),
+    ("p7n1.cohomology", "p7n1", ["cohomology", "--maps", "J1"]),
+    ("p7n1.delta", "p7n1", ["delta", "J2"]),
+    ("p3n2.cohomology", "p3n2", ["cohomology", "--maps", "J1"]),
+    ("p3n2.delta", "p3n2", ["delta", "J2"]),
+    ("p3n2.delta-compare", "p3n2", ["delta-compare", "J1", "J1"]),
+    ("p3n2.delta-compare-sums", "p3n2", ["delta-compare", "A", "B"]),
+    ("p2n3.delta-compare-sums", "p2n3", ["delta-compare", "A", "B"]),
 ]
 
 
@@ -64,12 +97,13 @@ def test_machine_report_matches_golden(suite):
     assert got == (GOLDEN / f"{suite}.json").read_text()
 
 
-@pytest.mark.parametrize("tag,command,argv", CLI_CASES, ids=[f"{t}.{c}" for t, c, _ in CLI_CASES])
-def test_cli_machine_output_matches_golden(tmp_path, capsys, tag, command, argv):
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("stem,tag,argv", CLI_CASES, ids=[s for s, _, _ in CLI_CASES])
+def test_cli_machine_output_matches_golden(tmp_path, capsys, stem, tag, argv):
     docs = {}
-    for name in sorted(set(argv) & {"J1", "J2"}):
+    for name in sorted(set(argv) & set(CLI_DOCUMENTS)):
         docs[name] = str(tmp_path / f"{name}.json")
-        fileio.save_file(docs[name], j_module(CLI_GROUPS[tag], int(name[1])))
+        fileio.save_file(docs[name], CLI_DOCUMENTS[name](GroupConfig(*CLI_GROUPS[tag])))
     code = main(["--format", "machine"] + [docs.get(a, a) for a in argv])
     assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / "cli" / f"{tag}.{command}.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / "cli" / f"{stem}.json").read_text()

@@ -1,7 +1,9 @@
 """Level diagrams: construction, axioms, and isomorphism decisions."""
 
 import numpy as np
+import pytest
 
+from cyclomod import fileio
 from cyclomod.config import GroupConfig
 from cyclomod.modules import (
     augmentation_ideal,
@@ -137,3 +139,55 @@ def test_single_level_group():
     assert d.invariants == ((1,),)
     assert d.alpha == () and d.beta == ()
     assert check_axioms(d) == []
+
+
+def test_unreduced_document_entries_are_reduced_on_load():
+    # alpha is divisible by 3 and beta lives mod 3, so both additions
+    # leave the maps unchanged; int64 products of the unreduced alpha
+    # entry would wrap.
+    c = GroupConfig(3, 2, 12)
+    d = delta(augmentation_ideal(c))
+    data = d.to_dict()
+    data["alpha"][0][0][0] += 9 * (2**61 // 9)
+    data["beta"][0][0][0] += 15
+    loaded = YakovlevDiagram.from_dict(data)
+    assert loaded == d
+    assert check_axioms(loaded) == []
+    assert isinstance(diagrams_isomorphic(loaded, delta(augmentation_ideal(c))), DiagramIso)
+
+
+def _reloaded(module, path):
+    fileio.save_file(path, module)
+    return fileio.load_file(path)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("p,n,precision", [(3, 2, 12), (2, 3, 12)])
+def test_found_isomorphism_commutes_with_every_map(tmp_path, p, n, precision):
+    """ideal + Z/p + Z/p^2 against Z/p^2 + ideal + Z/p, through documents:
+    the identity is rejected, and the level matrices the search returns
+    are checked here with plain numpy, square by square."""
+    c = GroupConfig(p, n, precision)
+    ideal = augmentation_ideal(c)
+    z1, z2 = trivial_module(c, 1), trivial_module(c, 2)
+    a = _reloaded(direct_sum(ideal, z1, z2).module, tmp_path / "a.json")
+    b = _reloaded(direct_sum(z2, ideal, z1).module, tmp_path / "b.json")
+    d1, d2 = delta(a), delta(b)
+    found = diagrams_isomorphic(d1, d2)
+    assert isinstance(found, DiagramIso)
+    xs = [np.asarray(x, dtype=object) for x in found.level_matrices]
+    assert any(not np.array_equal(x, np.eye(len(x), dtype=object)) for x in xs)
+
+    def commutes(x_t, a1, a2, x_s, exps):
+        lhs = x_t.dot(np.asarray(a1, dtype=object))
+        rhs = np.asarray(a2, dtype=object).dot(x_s)
+        return all(not any((lhs[r] - rhs[r]) % p**f) for r, f in enumerate(exps))
+
+    for i in range(n):
+        exps = d2.invariants[i]
+        assert commutes(xs[i], d1.sigma[i], d2.sigma[i], xs[i], exps)
+        det = round(np.linalg.det(xs[i].astype(float)))
+        assert det % p != 0
+    for i in range(n - 1):
+        assert commutes(xs[i + 1], d1.alpha[i], d2.alpha[i], xs[i], d2.invariants[i + 1])
+        assert commutes(xs[i], d1.beta[i], d2.beta[i], xs[i + 1], d2.invariants[i])
