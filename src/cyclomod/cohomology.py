@@ -24,6 +24,14 @@ kept for reduce()), and the relations it yields (row transforms).
 reduce() may take any solution of the relation system: two differ by
 a relation, which moves coordinate k by a multiple of p^(f_k).
 
+The eliminations read only the configuration, the degree's parity,
+the level and the model (moduli and sigma), so modules with equal
+models share them: a weak table keyed on that content hands each new
+group the eliminations of any live group with the same key, and an
+entry goes when the last module using it does.  Groups themselves stay
+per module, so generators belong to their module and maps between
+groups still compare groups by identity.
+
 Restriction and corestriction are realized on representatives.  With
 nu(j, i) the sum of sigma^(t * p^(n-j)) over 0 <= t < p^(j-i), i.e. the
 coset sum of the level-i subgroup inside the level-j one:
@@ -35,6 +43,8 @@ These satisfy cor after res = p^(j-i) and res after cor = action of nu.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -57,24 +67,16 @@ __all__ = [
 ]
 
 
-class TateGroup:
-    """A Tate cohomology group with explicit generators and reduction.
+class _TateCore:
+    """The eliminations of a Tate group, which read only the model.
 
-    invariants lists the exponents e of the Z/p^e cyclic summands,
-    largest first; generators[k] is a module element representing the
-    k-th summand's generator; reduce() rewrites any representative that
-    lies in the numerator as coordinates with respect to the summands.
+    Holds the invariants, the generators' model coordinates and what
+    reduce() solves on.  Cores are shared through _cores by every module
+    whose model has equal content, and die with the last group using one.
     """
 
     def __init__(self, module: PresentedModule, degree: int, level: int):
-        self.module = module
-        self.degree = degree
-        self.level = level
         cfg = module.cfg
-        if level == 0:
-            self.invariants = ()
-            self.generators = []
-            return
         # Model matrices are canonical residues mod p^N, so an entry of
         # true valuation >= N is indistinguishable from zero and every
         # lattice below is a congruence lattice.  The subquotient is exact
@@ -90,7 +92,7 @@ class TateGroup:
         # valuation below N are taken at face value, since the honesty
         # question is settled by the margin check, not by the pivot guard.
         ctx = linalg.Context(cfg.p, cfg.precision, 0)
-        self._ctx = ctx
+        self.ctx = ctx
         m = module.model_dim
         step = cfg.p ** (cfg.n - level)
         # act_matrix hands out cached arrays: build new ones, never mutate.
@@ -133,15 +135,56 @@ class TateGroup:
             )
         slots.sort(key=lambda kv: -kv[1])
         self.invariants = tuple(v for _, v in slots)
-        self.generators = []
-        for k, _ in slots:
-            col = linalg.matmul(ctx, nu, sm.left_inv[:, k : k + 1])
-            self.generators.append(module.element_from_model_coords(col.ravel()))
-        self._slots = [k for k, _ in slots]
-        self._left = sm.left
-        self._system = system
-        self._system_smith = ssm
-        self._q = q
+        self.generator_coords = [
+            linalg.matmul(ctx, nu, sm.left_inv[:, k : k + 1]).ravel() for k, _ in slots
+        ]
+        self.slots = [k for k, _ in slots]
+        self.left = sm.left
+        self.system = system
+        self.system_smith = ssm
+        self.q = q
+
+
+# Every core alive in the process, keyed on what its eliminations read.
+_cores = weakref.WeakValueDictionary()
+
+
+def _core(module: PresentedModule, degree: int, level: int) -> _TateCore:
+    sigma = module.sigma_matrix
+    # tobytes() of an object array holds pointers, not the integers.
+    content = sigma.tobytes() if sigma.dtype == np.int64 else tuple(int(x) for x in sigma.ravel())
+    key = (module.cfg, degree, level, module.moduli, content)
+    core = _cores.get(key)
+    if core is None:
+        core = _TateCore(module, degree, level)
+        _cores[key] = core
+    return core
+
+
+class TateGroup:
+    """A Tate cohomology group with explicit generators and reduction.
+
+    invariants lists the exponents e of the Z/p^e cyclic summands,
+    largest first; generators[k] is a module element representing the
+    k-th summand's generator; reduce() rewrites any representative that
+    lies in the numerator as coordinates with respect to the summands.
+    The eliminations live in a core shared with every module of equal
+    model; the group binds the generators to its own module.
+    """
+
+    def __init__(self, module: PresentedModule, degree: int, level: int):
+        self.module = module
+        self.degree = degree
+        self.level = level
+        if level == 0:
+            self.invariants = ()
+            self.generators = []
+            return
+        self._core = _core(module, degree, level)
+        self.invariants = self._core.invariants
+        self.generators = [
+            module.element_from_model_coords(c) for c in self._core.generator_coords
+        ]
 
     def is_trivial(self) -> bool:
         return not self.invariants
@@ -156,19 +199,20 @@ class TateGroup:
             return ()
         if elt.module is not self.module:
             raise ValueError("element belongs to a different module")
-        ctx = self._ctx
-        sol = linalg.solve(ctx, self._system, elt.column(), sm=self._system_smith)
+        core = self._core
+        ctx = core.ctx
+        sol = linalg.solve(ctx, core.system, elt.column(), sm=core.system_smith)
         if sol is None:
             raise PreconditionViolated(
                 "element is not in the numerator of this cohomology group"
             )
         # Solutions differ in z by members of rel, and row k of left @ rel
         # is divisible by p^(f_k): any solution gives the same coordinates.
-        z = sol[: self._q, :]
-        y = linalg.matmul(ctx, self._left, z)
+        z = sol[: core.q, :]
+        y = linalg.matmul(ctx, core.left, z)
         p = self.module.cfg.p
         return tuple(
-            int(y[k, 0]) % (p**f) for k, f in zip(self._slots, self.invariants)
+            int(y[k, 0]) % (p**f) for k, f in zip(core.slots, self.invariants)
         )
 
     def __repr__(self) -> str:
@@ -203,7 +247,9 @@ def tate(module: PresentedModule, degree: int, level: int | None = None) -> Tate
 
     Cohomology of a cyclic group is periodic with period 2, so only the
     parity of the degree matters; results are cached per module, which
-    also makes repeated map constructions composable.
+    also makes repeated map constructions composable.  The eliminations
+    behind a group are shared weakly with every live module whose model
+    is equal, so a second module with the same model eliminates nothing.
     """
     if level is None:
         level = module.cfg.n

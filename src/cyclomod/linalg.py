@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -49,11 +50,11 @@ class Context:
     precision: int
     guard: int
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.precision
 
-    @property
+    @cached_property
     def dtype(self):
         return np.int64 if self.modulus <= _INT64_LIMIT else object
 
@@ -152,6 +153,13 @@ class Smith:
         return d
 
 
+def _swap(x: np.ndarray, i: int, j: int) -> None:
+    """Exchange rows i and j of x in place (cheaper than fancy indexing)."""
+    row = x[i].copy()
+    x[i] = x[j]
+    x[j] = row
+
+
 def smith(
     ctx: Context, a, rows: bool = True, cols: bool = True, ceiling: int | None = None
 ) -> Smith:
@@ -167,13 +175,22 @@ def smith(
     ceiling (default N) count as zero: a caller working at a raised
     precision N on residues known mod p^N0 passes ceiling=N0 and guard
     N - N0 + guard0, which keeps the guard band [N0 - guard0, N0).
+
+    Only the live block is updated.  At pivot k, rows k.. are zero in
+    columns ..k-1 and rows ..k-1 are zero off the diagonal, so the row
+    operations, swaps and unit scaling touch columns k.. alone; once the
+    rows below are cleared, column k is zero off the pivot and the column
+    operations reduce to zeroing the rest of row k, which only right
+    records.  That zeroing is exact: every entry of the live block is
+    divisible by p^pv as an integer.
     """
-    a = mat(ctx, a).copy()
+    a = mat(ctx, a)
     m, n = a.shape
-    # An unwanted transform is tracked as an empty slice, on which every
-    # update below is a no-op.
-    u, uinv = (eye(ctx, m), eye(ctx, m)) if rows else (zeros(ctx, m, 0), zeros(ctx, 0, m))
-    v_ = eye(ctx, n) if cols else zeros(ctx, 0, n)
+    u = uinv = v_ = None
+    if rows:
+        u, uinv = eye(ctx, m), eye(ctx, m)
+    if cols:
+        v_ = eye(ctx, n)
     mod = ctx.modulus
     p = ctx.p
     top = ctx.precision if ceiling is None else ceiling
@@ -203,36 +220,37 @@ def smith(
             )
         i, j = loc[0] + k, loc[1] + k
         if i != k:
-            a[[k, i], :] = a[[i, k], :]
-            u[[k, i], :] = u[[i, k], :]
-            uinv[:, [k, i]] = uinv[:, [i, k]]
+            _swap(a[:, k:], k, i)
+            if rows:
+                _swap(u, k, i)
+                _swap(uinv.T, k, i)
         if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            v_[:, [k, j]] = v_[:, [j, k]]
+            _swap(a[k:, :].T, k, j)
+            if cols:
+                _swap(v_.T, k, j)
         pk = p**pv
         unit = int(a[k, k]) // pk
         if unit != 1:
             w = scalar_inverse(ctx, unit)
-            a[k, :] = (a[k, :] * w) % mod
-            u[k, :] = (u[k, :] * w) % mod
-            uinv[:, k] = (uinv[:, k] * unit) % mod
+            a[k, k:] = (a[k, k:] * w) % mod
+            if rows:
+                u[k, :] = (u[k, :] * w) % mod
+                uinv[:, k] = (uinv[:, k] * unit) % mod
         col = a[k + 1 :, k]
         if col.size and (col != 0).any():
             q = col // pk
-            a[k + 1 :, :] = (a[k + 1 :, :] - q[:, None] * a[k, :]) % mod
-            u[k + 1 :, :] = (u[k + 1 :, :] - q[:, None] * u[k, :]) % mod
-            uinv[:, k] = (uinv[:, k] + matmul(ctx, uinv[:, k + 1 :], q.reshape(-1, 1)).ravel()) % mod
+            a[k + 1 :, k:] = (a[k + 1 :, k:] - q[:, None] * a[k, k:]) % mod
+            if rows:
+                u[k + 1 :, :] = (u[k + 1 :, :] - q[:, None] * u[k, :]) % mod
+                uinv[:, k] = (uinv[:, k] + matmul(ctx, uinv[:, k + 1 :], q.reshape(-1, 1)).ravel()) % mod
         row = a[k, k + 1 :]
         if row.size and (row != 0).any():
-            q = row // pk
-            a[:, k + 1 :] = (a[:, k + 1 :] - a[:, k : k + 1] * q[None, :]) % mod
-            v_[:, k + 1 :] = (v_[:, k + 1 :] - v_[:, k : k + 1] * q[None, :]) % mod
+            if cols:
+                q = row // pk
+                v_[:, k + 1 :] = (v_[:, k + 1 :] - v_[:, k : k + 1] * q[None, :]) % mod
+            a[k, k + 1 :] = 0
         dvals.append(pv)
         k += 1
-    if not rows:
-        u = uinv = None
-    if not cols:
-        v_ = None
     return Smith(u, uinv, v_, dvals, (m, n))
 
 

@@ -104,6 +104,8 @@ class YakovlevDiagram:
             if len(levels) != n:
                 raise ParseError(f"expected {n} levels, found {len(levels)}")
             invariants = tuple(tuple(int(x) for x in lv["invariants"]) for lv in levels)
+            if any(e < 0 for inv in invariants for e in inv):
+                raise ParseError("negative exponent in the level invariants")
             sizes = [len(inv) for inv in invariants]
             sigma = tuple(
                 _toarray(lv["sigma"], p, invariants[i], sizes[i])
@@ -138,7 +140,7 @@ def _toarray(rows, p: int, exps, cols: int) -> np.ndarray:
     a = np.array(rows, dtype=object) if len(rows) else np.zeros(shape, dtype=object)
     if a.shape != shape:
         raise ParseError(f"matrix has shape {a.shape}, expected {shape}")
-    reduced = [[int(x) % p ** max(f, 0) for x in row] for row, f in zip(a, exps)]
+    reduced = [[int(x) % p**f for x in row] for row, f in zip(a, exps)]
     try:
         return np.array(reduced, dtype=np.int64).reshape(shape)
     except OverflowError as exc:
@@ -218,6 +220,9 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
         return [f"expected {n} levels of data"]
     if len(diagram.alpha) != max(n - 1, 0) or len(diagram.beta) != max(n - 1, 0):
         return ["wrong number of connecting maps"]
+    # Levels whose moduli p^e are meaningless (negative e) or need not fit
+    # int64 (e past the level): no map touching them is reduced.
+    outside = set()
     for i in range(1, n + 1):
         exps = diagram.invariants[i - 1]
         sig = diagram.sigma[i - 1]
@@ -228,8 +233,11 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
                 f"level {i}: exponent outside (0, {i}] "
                 f"(the group is killed by its subgroup order)"
             )
+            outside.add(i)
         if not _hom_shape_ok(sig, exps, exps):
             problems.append(f"level {i}: sigma matrix has wrong shape")
+            continue
+        if i in outside:
             continue
         if not _hom_divisibility(sig, p, exps, exps):
             problems.append(f"level {i}: sigma is not a well-defined endomorphism")
@@ -246,6 +254,8 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
         b = diagram.beta[i - 1]
         if not _hom_shape_ok(a, lo, hi) or not _hom_shape_ok(b, hi, lo):
             problems.append(f"levels {i}->{i + 1}: connecting map shape mismatch")
+            continue
+        if i in outside or i + 1 in outside:
             continue
         sig_lo = canon_map_matrix(diagram.sigma[i - 1], p, lo)
         sig_hi = canon_map_matrix(diagram.sigma[i], p, hi)

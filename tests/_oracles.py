@@ -3,13 +3,17 @@
 Nothing here imports the package under test.  The routines are slow,
 brute-force, and written from first principles on plain Python integers,
 so agreement with the fast implementation is meaningful evidence rather
-than a tautology.
+than a tautology.  The one exception is smith_full_width, a frozen copy
+of the elimination kernel as it stood before it updated only the live
+block, kept so the current kernel can be compared with it bit for bit.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+
+import numpy as np
 
 
 def det_int(rows) -> int:
@@ -244,3 +248,75 @@ def hom_space_entrywise(p, precision, sigma1, moduli1, sigma2, moduli2, kernel) 
         if any(any(row) for row in x):
             basis.append(x)
     return basis
+
+
+class GuardBand(Exception):
+    """smith_full_width met a pivot inside the guard band."""
+
+
+def smith_full_width(p, precision, guard, a, rows=True, cols=True, ceiling=None):
+    """(left, left_inv, right, dvals) of minimal-valuation Smith elimination.
+
+    Every pivot updates whole rows and columns of the working matrix
+    and of each transform; an unwanted transform is tracked as an empty
+    slice and comes back as None.  Arrays are int64 when p^N <= 2^25 and
+    Python-integer object arrays otherwise, as in the package.
+    """
+    mod = p**precision
+    dtype = np.int64 if mod <= 1 << 25 else object
+
+    def eye(size):
+        out = np.zeros((size, size), dtype=dtype)
+        for i in range(size):
+            out[i, i] = 1
+        return out
+
+    a = np.array(a, dtype=dtype) % mod
+    m, n = a.shape
+    u, uinv = (eye(m), eye(m)) if rows else (np.zeros((m, 0), dtype), np.zeros((0, m), dtype))
+    v_ = eye(n) if cols else np.zeros((0, n), dtype)
+    top = precision if ceiling is None else ceiling
+    dvals = []
+    k = pv = 0
+    while k < min(m, n):
+        sub = a[k:, k:]
+        loc = None
+        while pv < top:
+            nz = (sub % (p ** (pv + 1))) != 0
+            if nz.any():
+                loc = divmod(int(np.argmax(nz)), sub.shape[1])
+                break
+            pv += 1
+        if loc is None:
+            break
+        if pv >= precision - guard:
+            raise GuardBand(pv)
+        i, j = loc[0] + k, loc[1] + k
+        if i != k:
+            a[[k, i], :] = a[[i, k], :]
+            u[[k, i], :] = u[[i, k], :]
+            uinv[:, [k, i]] = uinv[:, [i, k]]
+        if j != k:
+            a[:, [k, j]] = a[:, [j, k]]
+            v_[:, [k, j]] = v_[:, [j, k]]
+        pk = p**pv
+        unit = int(a[k, k]) // pk
+        if unit != 1:
+            w = pow(unit, -1, mod)
+            a[k, :] = (a[k, :] * w) % mod
+            u[k, :] = (u[k, :] * w) % mod
+            uinv[:, k] = (uinv[:, k] * unit) % mod
+        col = a[k + 1 :, k]
+        if col.size and (col != 0).any():
+            q = col // pk
+            a[k + 1 :, :] = (a[k + 1 :, :] - q[:, None] * a[k, :]) % mod
+            u[k + 1 :, :] = (u[k + 1 :, :] - q[:, None] * u[k, :]) % mod
+            uinv[:, k] = (uinv[:, k] + ((uinv[:, k + 1 :] @ q.reshape(-1, 1)) % mod).ravel()) % mod
+        row = a[k, k + 1 :]
+        if row.size and (row != 0).any():
+            q = row // pk
+            a[:, k + 1 :] = (a[:, k + 1 :] - a[:, k : k + 1] * q[None, :]) % mod
+            v_[:, k + 1 :] = (v_[:, k + 1 :] - v_[:, k : k + 1] * q[None, :]) % mod
+        dvals.append(pv)
+        k += 1
+    return (u if rows else None), (uinv if rows else None), (v_ if cols else None), dvals

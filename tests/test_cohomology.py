@@ -1,9 +1,13 @@
 """Tate groups, restriction and corestriction, induced maps."""
 
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
 
+from cyclomod import cohomology, linalg
 from cyclomod.arith import sigma_power, subgroup_norm
 from cyclomod.cohomology import (
     CohomMap,
@@ -14,7 +18,7 @@ from cyclomod.cohomology import (
     restriction,
     tate,
 )
-from cyclomod.config import GroupConfig
+from cyclomod.config import GroupConfig, default_precision
 from cyclomod.errors import PreconditionViolated
 from cyclomod.modules import (
     ModuleHom,
@@ -255,3 +259,80 @@ def test_reduce_is_linear_and_ignores_the_denominator(group):
         for m in (mod, direct_sum(mod, extra).module):
             nontrivial += _check_reduce(m, rng)
     assert nontrivial >= REDUCE_SEEDS
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """A fresh shared-core table, holding only what the test builds."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(cohomology, "_cores", table)
+    return table
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    calls = []
+    real = linalg.smith
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith", counted)
+    return calls
+
+
+def _twins(c):
+    """Two distinct modules on one model with nontrivial cohomology in
+    both parities: the augmentation ideal plus a trivial Z/p."""
+    base = direct_sum(augmentation_ideal(c), trivial_module(c, exponent=1)).module
+    return [PresentedModule._from_model(c, base._model) for _ in range(2)]
+
+
+def _all_groups(mod):
+    return [tate(mod, d, lv) for lv in range(1, mod.cfg.n + 1) for d in (0, 1)]
+
+
+SHARING_GROUPS = [((3, 2, 9), np.int64), ((7, 1, default_precision(1)), object)]
+
+
+@pytest.mark.parametrize("group, dtype", SHARING_GROUPS, ids=["C9", "C7-object"])
+def test_modules_with_one_model_share_the_eliminations(group, dtype, cores, smith_calls):
+    c = GroupConfig(*group)
+    assert linalg.context_of(c).dtype is dtype
+    first, second = _twins(c)
+    groups1 = _all_groups(first)
+    assert smith_calls and all(h.invariants for h in groups1)
+    smith_calls.clear()
+    groups2 = _all_groups(second)
+    assert not smith_calls
+    assert [h.invariants for h in groups2] == [h.invariants for h in groups1]
+    for mod, own, other in ((first, groups1, groups2), (second, groups2, groups1)):
+        for h, h_other in zip(own, other):
+            assert h is not h_other
+            assert all(g.module is mod for g in h.generators)
+            for k, g in enumerate(h.generators):
+                assert h.reduce(g) == tuple(int(j == k) for j in range(len(h.generators)))
+            with pytest.raises(ValueError):
+                h.reduce(h_other.generators[0])
+
+
+def test_other_precision_or_guard_shares_nothing(cores, smith_calls):
+    mods = [_twins(GroupConfig(3, 1, 9))[0]]
+    _all_groups(mods[0])
+    for c in (GroupConfig(3, 1, 10), GroupConfig(3, 1, 9, guard=3)):
+        smith_calls.clear()
+        mods.append(PresentedModule._from_model(c, mods[0]._model))
+        _all_groups(mods[-1])
+        assert smith_calls
+    assert len(cores) == len(mods) * 2
+
+
+def test_shared_cores_die_with_their_modules(cores):
+    c = GroupConfig(3, 2, 9)
+    twins = _twins(c)
+    groups = [h for mod in twins for h in _all_groups(mod)]
+    assert len(cores) == 2 * c.n
+    del twins, groups
+    gc.collect()
+    assert len(cores) == 0

@@ -4,12 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomod import linalg
 from cyclomod.config import IsoSearchConfig
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 
-from _oracles import cokernel_valuations_mod_pN
+from _oracles import GuardBand, cokernel_valuations_mod_pN, smith_full_width
 
 
 def ctx(p=3, precision=8, guard=2):
@@ -102,6 +104,60 @@ def test_smith_ceiling_at_raised_precision():
     assert linalg.smith(linalg.Context(3, 9, 2), a).dvals == [0, 5]
     with pytest.raises(PrecisionExhausted):
         linalg.smith(raised, [[1, 0], [0, 3**4]], ceiling=5)
+
+
+def test_context_cached_values_leave_equality_and_hash_alone():
+    a, b = linalg.Context(7, 12, 2), linalg.Context(7, 12, 2)
+    assert (a.modulus, a.dtype) == (7**12, object)
+    assert a == b and hash(a) == hash(b)
+    assert a != linalg.Context(7, 12, 3)
+
+
+# (p, N): three int64 contexts and 7^12, which takes the object path.
+SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (7, 12)]
+
+
+@st.composite
+def smith_cases(draw):
+    p, precision = draw(st.sampled_from(SMITH_CONTEXTS))
+    c = linalg.Context(p, precision, draw(st.integers(0, 4)))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    # Entries u * p^k: many share a valuation, and k = N gives zeros.
+    entry = st.builds(
+        lambda u, k: (u * p**k) % c.modulus,
+        st.integers(0, c.modulus - 1),
+        st.integers(0, precision),
+    )
+    flat = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    a = linalg.mat(c, np.array(flat, dtype=object).reshape(m, n))
+    ceiling = draw(st.one_of(st.none(), st.integers(1, precision)))
+    return c, a, draw(st.booleans()), draw(st.booleans()), ceiling
+
+
+@settings(max_examples=400)
+@given(smith_cases())
+def test_smith_matches_the_full_width_kernel(case):
+    # The live-block updates must leave every output bit for bit as the
+    # elimination that updates whole rows and columns produced it.
+    c, a, rows, cols, ceiling = case
+    try:
+        want = smith_full_width(c.p, c.precision, c.guard, a.copy(), rows, cols, ceiling)
+    except GuardBand:
+        want = None
+    try:
+        sm = linalg.smith(c, a.copy(), rows=rows, cols=cols, ceiling=ceiling)
+    except PrecisionExhausted:
+        assert want is None
+        return
+    assert want is not None
+    assert sm.shape == a.shape
+    assert sm.dvals == want[3]
+    for got, ref in zip((sm.left, sm.left_inv, sm.right), want[:3]):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.dtype == ref.dtype == c.dtype
+            assert np.array_equal(got, ref)
 
 
 def test_solve_roundtrip_and_unsolvable():

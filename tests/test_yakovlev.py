@@ -5,6 +5,7 @@ import pytest
 
 from cyclomod import fileio
 from cyclomod.config import GroupConfig
+from cyclomod.errors import ParseError
 from cyclomod.modules import (
     augmentation_ideal,
     direct_sum,
@@ -154,6 +155,35 @@ def test_unreduced_document_entries_are_reduced_on_load():
     assert loaded == d
     assert check_axioms(loaded) == []
     assert isinstance(diagrams_isomorphic(loaded, delta(augmentation_ideal(c))), DiagramIso)
+
+
+def _with_level_one_invariants(data, invariants):
+    levels = [dict(data["levels"][0], invariants=invariants)] + data["levels"][1:]
+    return dict(data, levels=levels)
+
+
+@pytest.mark.parametrize("exponent", [0, 40])
+def test_exponent_outside_its_level_is_reported_alone(exponent):
+    # 3^40 does not fit int64, and 3^0 = 1 reduces every map to zero:
+    # once the level is reported, no map through it is checked.
+    data = delta(augmentation_ideal(GroupConfig(3, 2, 12))).to_dict()
+    loaded = YakovlevDiagram.from_dict(_with_level_one_invariants(data, [exponent]))
+    assert check_axioms(loaded) == [
+        "level 1: exponent outside (0, 1] (the group is killed by its subgroup order)"
+    ]
+
+
+def test_negative_exponent_is_rejected_on_load_and_reported_when_built():
+    d = delta(augmentation_ideal(GroupConfig(3, 2, 12)))
+    with pytest.raises(ParseError):
+        YakovlevDiagram.from_dict(_with_level_one_invariants(d.to_dict(), [-1]))
+    built = YakovlevDiagram(
+        p=d.p, n=d.n, invariants=((-1,), d.invariants[1]),
+        sigma=d.sigma, alpha=d.alpha, beta=d.beta,
+    )
+    assert check_axioms(built) == [
+        "level 1: exponent outside (0, 1] (the group is killed by its subgroup order)"
+    ]
 
 
 def _reloaded(module, path):
