@@ -68,12 +68,8 @@ __all__ = [
 
 
 class _TateCore:
-    """The eliminations of a Tate group, which read only the model.
-
-    Holds the invariants, the generators' model coordinates and what
-    reduce() solves on.  Cores are shared through _cores by every module
-    whose model has equal content, and die with the last group using one.
-    """
+    """A Tate group's eliminations: its invariants, the generators' model
+    coordinates and what reduce() solves on.  Reads only the model."""
 
     def __init__(self, module: PresentedModule, degree: int, level: int):
         cfg = module.cfg
