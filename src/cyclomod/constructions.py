@@ -3,8 +3,9 @@
 Three families of objects live here, all over Zp[G] for G cyclic of
 order p^n:
 
-  * extension data (a finite kernel plus a two-variable class table)
-    and its splitting module: the middle term of the extension by the
+  * extension data (a finite kernel plus a two-variable class table,
+    one (d, d, m) array of kernel coordinates for d = p^n) and its
+    splitting module: the middle term of the extension by the
     augmentation ideal, realized on explicit coordinates;
   * the submodule family J_e = p^e Zp[G] + Zp N_G with its four-term
     free resolution and, for e >= n, an explicit isomorphism from
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg
 from .arith import GroupRingElement, norm_element, sigma_power, zero_element
@@ -45,6 +48,7 @@ from .modules import (
     _Model,
     _canon_rows,
     _is_module,
+    _orbits,
     augmentation_ideal,
     descend_to_quotient,
     direct_sum,
@@ -88,62 +92,65 @@ def _ring(cfg: GroupConfig, c: int, t: int = 0) -> GroupRingElement:
     return GroupRingElement(cfg, vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionData:
     """A finite kernel together with a two-variable class table.
 
-    cocycle[a][b] is the value at (sigma^a, sigma^b), an element of the
-    kernel.  Construction validates the finiteness of the kernel, the
-    table shape, and the full cocycle identity
+    cocycle[a, b] holds f(sigma^a, sigma^b) in kernel model coordinates:
+    an array of shape (d, d, m), reduced coordinate by coordinate by the
+    kernel's moduli.  Construction checks the finiteness of the kernel,
+    the shape, and the cocycle identity
 
         sigma^a f(b, c) - f(a+b, c) + f(a, b+c) - f(a, b) = 0
 
-    over all index triples (NotACocycle on failure).
+    for a in {0, 1}, naming the first failing (a, b, c) in NotACocycle.
+    That suffices: the left side is df, and d(df) = 0 at (sigma, sigma^a,
+    sigma^b, sigma^c) gives df(sigma^(a+1), -, -) = sigma df(sigma^a, -, -)
+    once row a = 1 vanishes, so every row vanishes if rows 0 and 1 do.
     """
 
     kernel: PresentedModule
-    cocycle: tuple
+    cocycle: np.ndarray
 
     def __post_init__(self):
-        ka = self.kernel
-        d = ka.cfg.order
+        ka, ctx = self.kernel, self.kernel.ctx
+        d, m = ka.cfg.order, ka.model_dim
         if not ka.is_finite():
             raise InfiniteKernel("extension kernels must be finite modules")
-        if len(self.cocycle) != d or any(len(row) != d for row in self.cocycle):
-            raise NotACocycle(f"table must be {d} x {d}")
-        for row in self.cocycle:
-            for v in row:
-                if not isinstance(v, ElementVector) or v.module is not ka:
-                    raise NotACocycle("table entries must be elements of the kernel")
-        f = self.cocycle
-        for a in range(d):
-            sig_a = sigma_power(ka.cfg, a)
-            for b in range(d):
-                for c in range(d):
-                    lhs = (
-                        f[b][c].act(sig_a)
-                        - f[(a + b) % d][c]
-                        + f[a][(b + c) % d]
-                        - f[a][b]
-                    )
-                    if not lhs.is_zero():
-                        raise NotACocycle(
-                            f"identity fails at (sigma^{a}, sigma^{b}, sigma^{c})"
-                        )
+        if np.shape(self.cocycle) != (d, d, m):
+            raise NotACocycle(f"table must be {d} x {d} with {m} coordinates per entry")
+        cols = linalg.mat(ctx, np.reshape(self.cocycle, (d * d, m)).T)
+        f = _canon_rows(ctx, cols, ka.moduli).T.reshape(d, d, m)
+        f.flags.writeable = False
+        object.__setattr__(self, "cocycle", f)
+        moved = linalg.matmul(ctx, ka.sigma_matrix, cols).T.reshape(d, d, m)
+        bc = np.add.outer(range(d), range(d)) % d
+        row0 = f[0][bc] - f[0][:, None]
+        row1 = moved - np.roll(f, -1, axis=0) + f[1][bc] - f[1][:, None]
+        lhs = np.stack([row0, row1]).reshape(2 * d * d, m).T
+        bad = (_canon_rows(ctx, lhs, ka.moduli) != 0).any(axis=0)
+        if bad.any():
+            a, b, c = np.unravel_index(bad.argmax(), (2, d, d))
+            raise NotACocycle(f"identity fails at (sigma^{a}, sigma^{b}, sigma^{c})")
 
     def is_normalized(self) -> bool:
         """Whether f(1, -) and f(-, 1) vanish."""
-        d = self.kernel.cfg.order
-        return all(self.cocycle[0][b].is_zero() for b in range(d)) and all(
-            self.cocycle[a][0].is_zero() for a in range(d)
-        )
+        return linalg.is_zero(self.cocycle[0]) and linalg.is_zero(self.cocycle[:, 0])
 
 
 def zero_extension(kernel: PresentedModule) -> ExtensionData:
     """The split class on the given kernel."""
     d = kernel.cfg.order
-    z = kernel.zero()
-    return ExtensionData(kernel, tuple(tuple(z for _ in range(d)) for _ in range(d)))
+    return ExtensionData(kernel, np.zeros((d, d, kernel.model_dim), dtype=np.int64))
+
+
+def _coboundary(module: PresentedModule, cochain: np.ndarray) -> np.ndarray:
+    """sigma^a c_b - c_{a+b} + c_a in column a * d + b, with c_t in column t."""
+    ctx, d = module.ctx, module.cfg.order
+    orbits = _orbits(ctx, module.sigma_matrix, [cochain[:, t : t + 1] for t in range(d)], d)
+    moved = orbits.reshape(-1, d, d).transpose(0, 2, 1)
+    out = moved - cochain[:, np.add.outer(range(d), range(d)) % d] + cochain[:, :, None]
+    return _canon_rows(ctx, out.reshape(-1, d * d), module.moduli)
 
 
 def coboundary_shift(ext: ExtensionData, cochain) -> ExtensionData:
@@ -155,16 +162,11 @@ def coboundary_shift(ext: ExtensionData, cochain) -> ExtensionData:
     ka = ext.kernel
     d = ka.cfg.order
     cochain = list(cochain)
-    if len(cochain) != d:
-        raise PreconditionViolated(f"need one cochain value per group element ({d})")
-    table = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            db = cochain[b].act(sigma_power(ka.cfg, a)) - cochain[(a + b) % d] + cochain[a]
-            row.append(ext.cocycle[a][b] + db)
-        table.append(tuple(row))
-    return ExtensionData(ka, tuple(table))
+    if len(cochain) != d or any(c.module is not ka for c in cochain):
+        raise PreconditionViolated(f"need one kernel element per group element ({d})")
+    cols = linalg.mat(ka.ctx, [c.coords for c in cochain]).T
+    shift = _coboundary(ka, cols).T.reshape(d, d, ka.model_dim)
+    return ExtensionData(ka, ext.cocycle + shift)
 
 
 def carry_cocycle(kernel: PresentedModule, elt: ElementVector | None = None) -> ExtensionData:
@@ -178,10 +180,10 @@ def carry_cocycle(kernel: PresentedModule, elt: ElementVector | None = None) -> 
     d = kernel.cfg.order
     if elt is None:
         elt = kernel.generator(0)
-    table = tuple(
-        tuple(((a + b) // d) * elt for b in range(d)) for a in range(d)
-    )
-    return ExtensionData(kernel, table)
+    elif elt.module is not kernel:
+        raise PreconditionViolated("the carry value must be an element of the kernel")
+    carries = np.add.outer(range(d), range(d)) // d
+    return ExtensionData(kernel, carries[:, :, None] * linalg.mat(kernel.ctx, [elt.coords]))
 
 
 @dataclass(frozen=True)
@@ -226,11 +228,9 @@ def splitting_module(ext: ExtensionData) -> SplittingModule:
         if a + 1 < d:
             sig[ma + a, col] += 1
         else:
-            for i, v in enumerate(f[0][0].coords):
-                sig[i, col] += int(v)
+            sig[:ma, col] += f[0, 0]
         sig[ma, col] -= 1
-        for i, v in enumerate(f[1][a].coords):
-            sig[i, col] += int(v)
+        sig[:ma, col] += f[1, a]
     sig = _canon_rows(ctx, sig % ctx.modulus, moduli)
     if not _is_module(ctx, sig, moduli, d):
         raise NotACocycle("assembled action does not have the group order")
@@ -285,28 +285,21 @@ def cocycle_from_section(projection: ModuleHom, kernel: Submodule | None = None)
         )
     lift_sys = linalg.hstack(ctx, [projection.matrix, ideal.torsion_column_matrix()])
     sm_lift = linalg.smith(ctx, lift_sys)
-    sec = [b_mod.zero()]
-    for t in range(1, d):
-        sol = linalg.solve(ctx, lift_sys, ideal.generator(t - 1).column(), sm=sm_lift)
-        if sol is None:
-            raise NotSurjective(f"generator sigma^{t} - 1 has no preimage")
-        sec.append(b_mod.element_from_model_coords(sol[: b_mod.model_dim, :].ravel()))
+    gens = linalg.hstack(ctx, [ideal.generator(t).column() for t in range(d - 1)])
+    sol = linalg.solve(ctx, lift_sys, gens, sm=sm_lift)
+    if sol is None:
+        for t in range(1, d):
+            if linalg.solve(ctx, lift_sys, gens[:, t - 1 : t], sm=sm_lift) is None:
+                raise NotSurjective(f"generator sigma^{t} - 1 has no preimage")
+    sec = linalg.hstack(ctx, [linalg.zeros(ctx, b_mod.model_dim, 1), sol[: b_mod.model_dim]])
     memb = linalg.hstack(ctx, [kernel.inclusion.matrix, b_mod.torsion_column_matrix()])
-    sm_memb = linalg.smith(ctx, memb)
+    sol = linalg.solve(ctx, memb, _coboundary(b_mod, sec))
+    if sol is None:
+        raise CyclomodError(
+            "section defect escaped the kernel; the map is not a hom onto the ideal"
+        )
     km = kernel.module
-    table = []
-    for a in range(d):
-        row = []
-        for bb in range(d):
-            val = sec[bb].act(sigma_power(cfg, a)) - sec[(a + bb) % d] + sec[a]
-            sol = linalg.solve(ctx, memb, val.column(), sm=sm_memb)
-            if sol is None:
-                raise CyclomodError(
-                    "section defect escaped the kernel; the map is not a hom onto the ideal"
-                )
-            row.append(km.element_from_model_coords(sol[: km.model_dim, :].ravel()))
-        table.append(tuple(row))
-    return ExtensionData(km, tuple(table))
+    return ExtensionData(km, sol[: km.model_dim, :].T.reshape(d, d, km.model_dim))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,9 @@ Document layout (all integers are plain JSON numbers):
                    matrix of the generator action on kernel coordinates,
                    "cocycle": d x d table of length-t coordinate vectors,
                    or the literal string "split"}
+                  A saved extension has one generator per model
+                  coordinate of its kernel, and its cocycle is the array
+                  ExtensionData.cocycle: entry [a][b] is f(sigma^a, sigma^b).
   pipeline-input  {"kind": "pipeline-input", "p", "n", "precision",
                    "module": module document (kind omitted), "rank",
                    "free_witness": [element, ...], "ideal_witness":
@@ -141,7 +144,7 @@ def _element_to_lists(elt: ElementVector) -> list:
     module = elt.module
     cfg = module.cfg
     d = cfg.order
-    amb = (module._lift @ elt.column()) % cfg.modulus
+    amb = linalg.matmul(module.ctx, module._lift, elt.column())
     flat = [int(v) for v in amb.ravel()]
     return [
         [_centered(flat[g * d + t], cfg.modulus) for t in range(d)]
@@ -179,45 +182,34 @@ def extension_from_dict(doc: dict, precision: int | None = None, guard: int | No
         row[i] = tuple(vec)
         rows.append(tuple(row))
     kernel = PresentedModule(cfg, names, rows)
-    gens = kernel.generator_elements()
     raw = _require(doc, "cocycle")
     if raw == "split":
         return zero_extension(kernel)
     if len(raw) != d or any(len(r) != d for r in raw):
         raise ParseError(f"cocycle table must be {d} x {d}")
-    table = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            vec = raw[a][b]
+    for a, row in enumerate(raw):
+        for b, vec in enumerate(row):
             if len(vec) != t:
                 raise ParseError(
                     f"cocycle entry ({a}, {b}) needs {t} coordinates, found {len(vec)}"
                 )
-            elt = kernel.zero()
-            for c, g in zip(vec, gens):
-                elt = elt + int(c) * g
-            row.append(elt)
-        table.append(tuple(row))
-    return ExtensionData(kernel, tuple(table))
+    # document coordinates are generator coefficients, reduced mod p^N
+    # in Python integers before the array cast
+    ctx = kernel.ctx
+    coeffs = linalg.mat(ctx, [[int(c) % cfg.modulus for c in vec] for row in raw for vec in row])
+    table = linalg.matmul(ctx, kernel._proj[:, ::d], coeffs.T)
+    return ExtensionData(kernel, table.T.reshape(d, d, kernel.model_dim))
 
 
 def extension_to_dict(ext: ExtensionData) -> dict:
     kernel = ext.kernel
     cfg = kernel.cfg
-    d = cfg.order
     # serialize through the kernel's coordinate model: one generator per
     # model coordinate, so elements are their own coordinate vectors
     exps = [linalg.valuation_int(kernel.ctx, q) for q in kernel.moduli]
     t = kernel.model_dim
     action = [[int(kernel.sigma_matrix[i, j]) for j in range(t)] for i in range(t)]
-    if all(v.is_zero() for row in ext.cocycle for v in row):
-        table = "split"
-    else:
-        table = [
-            [[int(c) for c in ext.cocycle[a][b].coords] for b in range(d)]
-            for a in range(d)
-        ]
+    table = "split" if linalg.is_zero(ext.cocycle) else ext.cocycle.tolist()
     return {
         "kind": "extension",
         "p": cfg.p,
@@ -266,16 +258,24 @@ def pipeline_input_to_dict(data: Theorem1Input) -> dict:
 
 
 def load_text(text: str, precision: int | None = None, guard: int | None = None):
-    """Parse and build the object a document describes."""
+    """Parse and build the object a document describes.
+
+    A field of the wrong type or value (a string where a number belongs,
+    a number where a vector belongs) raises ParseError.
+    """
     doc = parse_document(text)
     kind = doc["kind"]
-    if kind == "module":
-        return module_from_dict(doc, precision, guard)
-    if kind == "extension":
-        return extension_from_dict(doc, precision, guard)
-    if kind == "pipeline-input":
-        return pipeline_input_from_dict(doc, precision, guard)
-    return YakovlevDiagram.from_dict(doc)
+    if kind == "diagram":
+        return YakovlevDiagram.from_dict(doc)
+    build = {
+        "module": module_from_dict,
+        "extension": extension_from_dict,
+        "pipeline-input": pipeline_input_from_dict,
+    }[kind]
+    try:
+        return build(doc, precision, guard)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed {kind} document: {exc}") from exc
 
 
 def load_file(path, precision: int | None = None, guard: int | None = None):

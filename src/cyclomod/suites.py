@@ -687,10 +687,10 @@ def suite_negative(search: IsoSearchConfig | None = None) -> SuiteReport:
 
     kernel = trivial_module(CONFIG_31, 1)
     good = carry_cocycle(kernel)
-    table = [list(row) for row in good.cocycle]
-    table[1][1] = table[1][1] + kernel.generator(0)
+    table = good.cocycle.copy()
+    table[1, 1] += kernel.generator(0).coords
     try:
-        ExtensionData(kernel, tuple(tuple(row) for row in table))
+        ExtensionData(kernel, table)
         col.add("corrupted.cocycle", False, "corrupted table accepted")
     except NotACocycle as exc:
         col.add("corrupted.cocycle", True, str(exc))

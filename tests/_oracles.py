@@ -320,3 +320,39 @@ def smith_full_width(p, precision, guard, a, rows=True, cols=True, ceiling=None)
         dvals.append(pv)
         k += 1
     return (u if rows else None), (uinv if rows else None), (v_ if cols else None), dvals
+
+
+def cocycle_first_failure(modulus: int, sigma, moduli, table):
+    """First (a, b, c) where a two-variable table fails the cocycle identity.
+
+        sigma^a f(b, c) - f(a+b, c) + f(a, b+c) - f(a, b) = 0
+
+    is tested on every index triple in (a, b, c) order, as the class
+    check scanned before it read only a in {0, 1}: sigma is the kernel's
+    action matrix, moduli its finite coordinate moduli, table[a][b] the
+    coordinates of f(sigma^a, sigma^b).  Returns None if every triple holds.
+    """
+    d, m = len(table), len(moduli)
+    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
+    for _ in range(1, d):
+        prev = powers[-1]
+        powers.append(
+            [
+                [sum(sigma[i][k] * prev[k][j] for k in range(m)) % modulus for j in range(m)]
+                for i in range(m)
+            ]
+        )
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                moved = [sum(row[k] * table[b][c][k] for k in range(m)) for row in powers[a]]
+                lhs = [
+                    moved[i]
+                    - table[(a + b) % d][c][i]
+                    + table[a][(b + c) % d][i]
+                    - table[a][b][i]
+                    for i in range(m)
+                ]
+                if any(x % modulus % q for x, q in zip(lhs, moduli)):
+                    return (a, b, c)
+    return None

@@ -90,6 +90,51 @@ def test_diagram_document_with_huge_entry_is_rejected_cleanly(tmp_path, capsys):
     assert "expected a PresentedModule document" in err
 
 
+def _set(path, value):
+    """An edit that stores value at the key path of a document."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+# (document in the docs fixture, edit, command reading it)
+MALFORMED = {
+    "module.p": ("ideal31.json", _set(["p"], "three"), ["cohomology"]),
+    "extension.cocycle": (
+        "carry31.json",
+        _set(["cocycle", 1, 1], ["x"]),
+        ["construct", "split-module", "--extension"],
+    ),
+    "extension.action": (
+        "carry31.json",
+        _set(["action"], [["y"]]),
+        ["construct", "split-module", "--extension"],
+    ),
+    "pipeline-input.witness": (
+        "pipe.json",
+        _set(["free_witness", 0, 0], 5),
+        ["construct", "lemma2", "--input"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_a_parse_error(docs, capsys, case):
+    name, edit, argv = MALFORMED[case]
+    doc = json.loads((docs / name).read_text())
+    edit(doc)
+    path = docs / f"malformed.{name}"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError:")
+
+
 def test_missing_file_fails(docs, capsys):
     code, _, err = run(capsys, "cohomology", str(docs / "absent.json"))
     assert code == 1

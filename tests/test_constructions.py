@@ -5,7 +5,12 @@ long exact sequences of the defining short exact sequences before the
 implementation produced them; see the inline notes at each pin.
 """
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomod.cohomology import connecting_iso, is_cohomologically_trivial, tate
 from cyclomod.config import GroupConfig
@@ -24,17 +29,28 @@ from cyclomod.constructions import (
     theorem1_verify,
     zero_extension,
 )
-from cyclomod.errors import NotACocycle, PreconditionViolated, WitnessInvalid
+from cyclomod.errors import (
+    InfiniteKernel,
+    NotACocycle,
+    NotSurjective,
+    PreconditionViolated,
+    WitnessInvalid,
+)
 from cyclomod.modules import (
+    ModuleHom,
+    PresentedModule,
     Submodule,
     augmentation_ideal,
     direct_sum,
     free_module,
+    scalar_action_hom,
     trivial_module,
     zp_trivial,
 )
 from cyclomod.oracle import Iso, StableIso, modules_isomorphic, stably_isomorphic
 from cyclomod.verdicts import NotIsomorphic
+
+from _oracles import cocycle_first_failure
 
 C31 = GroupConfig(3, 1, 11)
 C32 = GroupConfig(3, 2, 12)
@@ -51,16 +67,111 @@ def test_carry_table_is_normalized_cocycle():
 
 def test_corrupted_table_rejected():
     ext = carry_cocycle(trivial_module(C31, 1))
-    table = [list(row) for row in ext.cocycle]
-    table[1][1] = table[1][1] + ext.kernel.generator(0)
+    table = ext.cocycle.copy()
+    table[1, 1] += ext.kernel.generator(0).coords
     with pytest.raises(NotACocycle):
-        ExtensionData(ext.kernel, tuple(tuple(row) for row in table))
+        ExtensionData(ext.kernel, table)
 
 
 def test_coboundary_shift_needs_full_cochain():
     ext = carry_cocycle(trivial_module(C31, 1))
     with pytest.raises(PreconditionViolated):
         coboundary_shift(ext, [ext.kernel.zero()])
+    other = trivial_module(C31, 1)
+    with pytest.raises(PreconditionViolated):
+        coboundary_shift(ext, [other.zero()] * 3)
+    with pytest.raises(PreconditionViolated):
+        carry_cocycle(ext.kernel, other.generator(0))
+
+
+def test_extension_data_rejects_infinite_kernels_and_misshapen_tables():
+    with pytest.raises(InfiniteKernel):
+        zero_extension(zp_trivial(C31))
+    with pytest.raises(NotACocycle, match="^table must be"):
+        ExtensionData(trivial_module(C32, 1), zero_extension(trivial_module(C31, 1)).cocycle)
+
+
+# (p, n, precision) of the groups the check is compared on, 7^11 on the
+# object-dtype path; the configurations are built inside the test, where
+# the p = 2 warning is filtered.
+CHECK_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10), (7, 1, 11)]
+CHECK_KERNELS = ["Z/p", "Z/p^2", "ring/p", "ring/p+Z/p^2"]
+
+
+@functools.lru_cache(maxsize=None)
+def _check_kernel(group, kind):
+    """A finite kernel and sigma-fixed elements of it (valid carry values)."""
+    cfg = GroupConfig(*group)
+    if kind in ("Z/p", "Z/p^2"):
+        cyclic = trivial_module(cfg, len(kind) - 2)
+        return cyclic, (cyclic.generator(0),)
+    ring = PresentedModule(cfg, ["x"], [((cfg.p,) + (0,) * (cfg.order - 1),)])
+    norm = ring.element([(1,) * cfg.order])
+    if kind == "ring/p":
+        return ring, (norm,)
+    cyclic = trivial_module(cfg, 2)
+    ds = direct_sum(ring, cyclic)
+    return ds.module, (ds.injections[0].apply(norm), ds.injections[1].apply(cyclic.generator(0)))
+
+
+def _extension(kernel, table):
+    return ExtensionData(kernel, np.array(table, dtype=object))
+
+
+@st.composite
+def cocycle_tables(draw, group):
+    """Carry tables shifted by a random coboundary, some with one entry moved."""
+    kernel, fixed = _check_kernel(group, draw(st.sampled_from(CHECK_KERNELS)))
+    d = kernel.cfg.order
+    coeff = st.integers(0, kernel.cfg.p**2 - 1)
+
+    def combination(elements):
+        out = kernel.zero()
+        for g in elements:
+            out = out + draw(coeff) * g
+        return out
+
+    gens = kernel.generator_elements()
+    ext = carry_cocycle(kernel, combination(fixed))
+    table = coboundary_shift(ext, [combination(gens) for _ in range(d)]).cocycle.tolist()
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        table[a][b] = [x + draw(coeff) for x in table[a][b]]
+    return kernel, table
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", CHECK_GROUPS, ids=lambda g: "p%dn%d" % g[:2])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cocycle_check_agrees_with_the_full_scan(group, data):
+    # Accepted exactly when every triple holds; otherwise rejected with
+    # the first failing triple of the full (a, b, c) scan.
+    kernel, table = data.draw(cocycle_tables(group))
+    sigma = [[int(x) for x in row] for row in kernel.sigma_matrix]
+    want = cocycle_first_failure(kernel.cfg.modulus, sigma, kernel.moduli, table)
+    if want is None:
+        _extension(kernel, table)
+        return
+    with pytest.raises(NotACocycle) as err:
+        _extension(kernel, table)
+    assert str(err.value) == "identity fails at (sigma^%d, sigma^%d, sigma^%d)" % want
+
+
+@pytest.mark.parametrize("cfg", [C31, C32], ids=["C3", "C9"])
+def test_section_of_a_non_surjection_names_the_first_generator(cfg):
+    # Multiplication by p maps the ideal onto p * ideal, which misses
+    # every generator sigma^t - 1.
+    with pytest.raises(NotSurjective, match=r"^generator sigma\^1 - 1 has no preimage$"):
+        cocycle_from_section(scalar_action_hom(augmentation_ideal(cfg), cfg.p))
+
+
+def test_section_of_a_map_with_infinite_kernel_is_refused():
+    ideal = augmentation_ideal(C31)
+    lam2 = free_module(C31, 2)
+    onto = ModuleHom.from_generator_images(lam2, ideal, [ideal.generator(0)] * 2)
+    with pytest.raises(InfiniteKernel):
+        cocycle_from_section(onto)
 
 
 # -- splitting modules -----------------------------------------------------

@@ -51,8 +51,20 @@ for t, c in (('p3n2', GroupConfig(3, 2, 12)), ('p2n3', GroupConfig(2, 3, 12)))]"
 
 (`python -m cyclomod.cli` in place of `cyclomod` without an install).
 The reports name no file, so the documents may live anywhere.
+
+tests/golden/extensions.json holds fileio.machine_report of the
+extension documents built by extension_documents() below: split,
+carry, coboundary-shifted and re-extracted class tables on Z/p^2, the
+group ring mod p and their sum, over six groups, and the class that
+theorem1_verify extracts for the `ideal` and `J1+ideal` inputs at C9.
+An intended change regenerates it with
+
+    PYTHONPATH=src:tests python -c "from test_reports_stable import \
+extension_documents; print(extension_documents(), end='')" \
+        > tests/golden/extensions.json
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -60,9 +72,23 @@ import pytest
 from cyclomod import fileio
 from cyclomod.cli import main
 from cyclomod.config import GroupConfig
-from cyclomod.constructions import j_module
-from cyclomod.modules import augmentation_ideal, direct_sum, trivial_module
-from cyclomod.suites import ALL_SUITES
+from cyclomod.constructions import (
+    carry_cocycle,
+    coboundary_shift,
+    cocycle_from_section,
+    j_module,
+    splitting_module,
+    theorem1_verify,
+    zero_extension,
+)
+from cyclomod.modules import (
+    PresentedModule,
+    Submodule,
+    augmentation_ideal,
+    direct_sum,
+    trivial_module,
+)
+from cyclomod.suites import ALL_SUITES, _pipeline_battery, _random_cochain
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,3 +133,53 @@ def test_cli_machine_output_matches_golden(tmp_path, capsys, stem, tag, argv):
     code = main(["--format", "machine"] + [docs.get(a, a) for a in argv])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "cli" / f"{stem}.json").read_text()
+
+
+# (p, n, precision); 7^11 takes the object-dtype path
+EXTENSION_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10), (7, 1, 11)]
+
+
+def extension_documents() -> str:
+    """The extension documents pinned by tests/golden/extensions.json."""
+    docs = {}
+    for p, n, precision in EXTENSION_GROUPS:
+        cfg = GroupConfig(p, n, precision)
+        d = cfg.order
+        cyclic = trivial_module(cfg, 2)
+        ring = PresentedModule(cfg, ["x"], [((p,) + (0,) * (d - 1),)])
+        norm = ring.element([(1,) * d])
+        ds = direct_sum(ring, cyclic)
+        # each kernel with a sigma-fixed value for its carry table
+        kernels = {
+            "Z/p^2": (cyclic, cyclic.generator(0)),
+            "ring/p": (ring, norm),
+            "ring/p+Z/p^2": (
+                ds.module,
+                ds.injections[0].apply(norm) + ds.injections[1].apply(cyclic.generator(0)),
+            ),
+        }
+        for name, (kernel, fixed) in kernels.items():
+            tag = f"p{p}n{n}.{name}"
+            carry = carry_cocycle(kernel, fixed)
+            shifted = coboundary_shift(carry, _random_cochain(kernel, random.Random(tag)))
+            built = splitting_module(shifted)
+            again = cocycle_from_section(
+                built.projection, Submodule(built.kernel_hom.source, built.kernel_hom)
+            )
+            for kind, ext in (
+                ("split", zero_extension(kernel)),
+                ("carry", carry),
+                ("shifted", shifted),
+                ("reextracted", again),
+            ):
+                docs[f"{tag}.{kind}"] = fileio.to_dict(ext)
+    builders = _pipeline_battery()[1]
+    for shape in ("ideal", "J1+ideal"):
+        report = theorem1_verify(builders[shape](GroupConfig(3, 2, 12)))
+        docs[f"theorem1.p3n2.{shape}"] = fileio.to_dict(report.extension)
+    return fileio.machine_report(docs)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_extension_documents_match_golden():
+    assert extension_documents() == (GOLDEN / "extensions.json").read_text()
