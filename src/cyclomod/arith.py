@@ -1,16 +1,12 @@
 """The group ring Zp[G] for G cyclic of order p^n.
 
 Elements are coefficient tuples of residues mod p^N in the basis
-1, sigma, ..., sigma^(p^n - 1); regular_matrix() is the action on the
-ring itself, from which presentations build their relation lattices.
-Valuations of residues are linalg.valuation_int.
+1, sigma, ..., sigma^(p^n - 1).  Valuations of residues are
+linalg.valuation_int.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import linalg
 from .config import GroupConfig
 
 
@@ -80,20 +76,6 @@ class GroupRingElement:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
-
-    def regular_matrix(self) -> np.ndarray:
-        """Matrix of left multiplication by this element on Zp[G].
-
-        Column t holds the coefficients of self * sigma^t, so the matrix
-        acts on coefficient columns the way the element acts on the ring.
-        """
-        ctx = linalg.context_of(self.cfg)
-        d = self.cfg.order
-        m = linalg.zeros(ctx, d, d)
-        for t in range(d):
-            for s, a in enumerate(self.values):
-                m[(s + t) % d, t] = (int(m[(s + t) % d, t]) + a) % self.cfg.modulus
-        return m
 
     def __repr__(self) -> str:
         terms = []

@@ -1,11 +1,14 @@
 """JSON documents for modules, extensions and pipeline inputs.
 
-Document layout (all integers are plain JSON numbers):
+Document layout (all numbers are plain JSON integers; a float or a
+boolean anywhere, or generators that are not a list, is a ParseError):
 
   module          {"kind": "module", "p", "n", "precision", "generators":
                    [names], "relations": [[coeff-vector per generator]]}
                   where a coeff-vector has p^n entries, the t-th being
-                  the coefficient of sigma^t, centered representatives.
+                  the coefficient of sigma^t: the relations are the
+                  module's (r, k, p^n) array PresentedModule.relations,
+                  centered.
   extension       {"kind": "extension", "p", "n", "precision",
                    "kernel_invariants": [e_1, ...], "action": t x t
                    matrix of the generator action on kernel coordinates,
@@ -34,19 +37,31 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import linalg
 from .config import GroupConfig
 from .constructions import ExtensionData, Theorem1Input, zero_extension
 from .errors import ParseError
-from .modules import ElementVector, PresentedModule
+from .modules import ElementVector, PresentedModule, _centered_object
 from .yakovlev import YakovlevDiagram
 
 _KINDS = ("module", "extension", "pipeline-input", "diagram")
 
 
-def _centered(value: int, modulus: int) -> int:
-    value %= modulus
-    return value - modulus if value > modulus // 2 else value
+def _check_values(value, where: str) -> None:
+    """Reject what int() and list() would silently coerce: floats and
+    booleans anywhere, and a generators field that is not a list."""
+    if isinstance(value, (bool, float)):
+        raise ParseError(f"{where}: expected an integer, found {json.dumps(value)}")
+    if isinstance(value, dict):
+        if not isinstance(value.get("generators", []), list):
+            raise ParseError(f"{where}: generators must be a list of names")
+        for key, sub in value.items():
+            _check_values(sub, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            _check_values(sub, f"{where}[{i}]")
 
 
 def parse_document(text: str) -> dict:
@@ -60,6 +75,7 @@ def parse_document(text: str) -> dict:
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise ParseError(f"unknown document kind {kind!r}; expected one of {_KINDS}")
+    _check_values(doc, "document")
     return doc
 
 
@@ -117,10 +133,7 @@ def module_to_dict(module: PresentedModule) -> dict:
         "n": cfg.n,
         "precision": cfg.precision,
         "generators": list(module.gen_names),
-        "relations": [
-            [[_centered(v, cfg.modulus) for v in coeff.values] for coeff in row]
-            for row in module.relations
-        ],
+        "relations": _centered_object(module.relations, cfg.modulus).tolist(),
     }
 
 
@@ -143,13 +156,8 @@ def _element_from_lists(module: PresentedModule, raw, where: str) -> ElementVect
 def _element_to_lists(elt: ElementVector) -> list:
     module = elt.module
     cfg = module.cfg
-    d = cfg.order
     amb = linalg.matmul(module.ctx, module._lift, elt.column())
-    flat = [int(v) for v in amb.ravel()]
-    return [
-        [_centered(flat[g * d + t], cfg.modulus) for t in range(d)]
-        for g in range(len(module.gen_names))
-    ]
+    return _centered_object(amb, cfg.modulus).reshape(-1, cfg.order).tolist()
 
 
 # -- extensions --------------------------------------------------------------
@@ -164,23 +172,12 @@ def extension_from_dict(doc: dict, precision: int | None = None, guard: int | No
     t = len(invariants)
     action = _int_matrix(_require(doc, "action"), t, t, "action")
     names = [f"k{i}" for i in range(t)]
-    # sigma * k_j - sum_i action[i][j] k_i = 0, one relation per column j
-    rows = []
-    for j in range(t):
-        row = []
-        for i in range(t):
-            vec = [0] * d
-            if i == j:
-                vec[1 % d] += 1
-            vec[0] -= action[i][j]
-            row.append(tuple(vec))
-        rows.append(tuple(row))
-    for i in range(t):
-        row = [tuple([0] * d) for _ in range(t)]
-        vec = [0] * d
-        vec[0] = cfg.p ** invariants[i]
-        row[i] = tuple(vec)
-        rows.append(tuple(row))
+    # relation j: sigma * k_j - sum_i action[i][j] k_i = 0; relation t + i:
+    # p^e_i k_i = 0.  Python integers, reduced by the constructor.
+    rows = np.zeros((2 * t, t, d), dtype=object)
+    rows[:t, :, 0] = -np.array(action, dtype=object).reshape(t, t).T
+    rows[range(t), range(t), 1 % d] += 1
+    rows[range(t, 2 * t), range(t), 0] = [cfg.p**e for e in invariants]
     kernel = PresentedModule(cfg, names, rows)
     raw = _require(doc, "cocycle")
     if raw == "split":

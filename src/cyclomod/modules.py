@@ -1,9 +1,12 @@
 """Finitely presented modules over L = Zp[G], G cyclic of order p^n.
 
-A module is described by generators and L-linear relations.  Internally
-every module also carries a normalized coordinate model: a minimal list
-of Zp-coordinates, each either free or killed by an exact power of p,
-together with the matrix of the generator sigma in those coordinates.
+A module is described by generators and L-linear relations, stored as
+one read-only integer array of shape (r, k, d), d = p^n: entry
+[rho, g, t] is the coefficient of sigma^t on generator g in relation
+rho, a residue mod p^N.  Internally every module also carries a
+normalized coordinate model: a minimal list of Zp-coordinates, each
+either free or killed by an exact power of p, together with the matrix
+of the generator sigma in those coordinates.
 All computation (sums, kernels, quotients, fixed points, cohomology)
 happens at model scale.
 
@@ -15,7 +18,7 @@ lattice, eliminated at the ambient's model size; kernels and fixed
 points are submodules generated by saturated kernel vectors, found by
 keeping only the pivot-free directions of a Smith form, so congruence
 shadows of valuation N - d never enter a structural lattice.  Derived
-modules carry a relation list synthesized from their model.
+modules carry a relation array synthesized from their model.
 """
 
 from __future__ import annotations
@@ -111,24 +114,30 @@ def _coerce_ring(cfg: GroupConfig, value) -> GroupRingElement:
 class PresentedModule:
     """A Zp[G]-module given by generators and relations.
 
-    relations is a tuple of rows; each row is a tuple of k group-ring
-    coefficients, one per generator, and asserts that the corresponding
-    combination vanishes.
+    relations is given as rows of k group-ring coefficients, one per
+    generator (each a GroupRingElement, an int or a coefficient
+    sequence), or as an (r, k, d) integer array; each row asserts that
+    the corresponding combination vanishes.  It is stored as a read-only
+    (r, k, d) array in the context dtype, entry [rho, g, t] the residue
+    mod p^N of the coefficient of sigma^t on generator g in relation rho.
     """
 
     def __init__(self, cfg: GroupConfig, gen_names, relations, _internal=None):
         self.cfg = cfg
         self.gen_names = tuple(str(g) for g in gen_names)
-        rel_rows = []
-        for row in relations:
-            row = tuple(_coerce_ring(cfg, c) for c in row)
-            if len(row) != len(self.gen_names):
-                raise ValueError(
-                    f"relation has {len(row)} coefficients for "
-                    f"{len(self.gen_names)} generators"
-                )
-            rel_rows.append(row)
-        self.relations = tuple(rel_rows)
+        k, d, ctx = len(self.gen_names), cfg.order, self.ctx
+        if not isinstance(relations, np.ndarray):
+            relations = [[_coerce_ring(cfg, c).values for c in row] for row in relations]
+            for row in relations:
+                if len(row) != k:
+                    raise ValueError(f"relation has {len(row)} coefficients for {k} generators")
+            relations = np.array(relations, dtype=object).reshape(len(relations), k, d)
+        if relations.shape[1:] != (k, d):
+            raise ValueError(f"relations must have shape (r, {k}, {d}), not {relations.shape}")
+        # reduce in Python integers before any int64 cast
+        rel = relations if relations.dtype == ctx.dtype else relations.astype(object)
+        self.relations = (rel % ctx.modulus).astype(ctx.dtype, copy=False)
+        self.relations.flags.writeable = False
         self._act_cache: dict = {}
         self._tate_cache: dict = {}
         if _internal is not None:
@@ -141,14 +150,14 @@ class PresentedModule:
     def _normalize(self):
         """Smith-reduce the expanded relation lattice to model coordinates.
 
-        Relation row r contributes the columns of its shifts sigma^t r,
-        i.e. the regular matrices of its coefficients stacked by generator.
+        Relation rho contributes the columns rho d + t of its shifts
+        sigma^t rho: entry (g d + u, rho d + t) is R[rho, g, (u - t) mod d].
         """
-        ctx = linalg.context_of(self.cfg)
-        d = self.cfg.order
-        k = len(self.gen_names)
-        blocks = [np.vstack([c.regular_matrix() for c in row]) for row in self.relations if row]
-        rel = linalg.hstack(ctx, blocks) if blocks else linalg.zeros(ctx, k * d, 0)
+        ctx = self.ctx
+        r, k, d = self.relations.shape
+        u = np.arange(d)
+        shifted = self.relations[:, :, (u[:, None] - u[None, :]) % d]
+        rel = shifted.transpose(1, 2, 0, 3).reshape(k * d, r * d)
         # The block cyclic shift: sigma on the expanded coordinates.
         shift = np.kron(np.eye(k, dtype=np.int64), np.roll(np.eye(d, dtype=np.int64), 1, axis=0))
         return _quotient_model(ctx, rel, linalg.mat(ctx, shift))
@@ -580,10 +589,7 @@ def _exact_lift(ambient: PresentedModule, elements, precision: int):
     cols = [linalg.mat(src, _centered_object(e.coords, cfg.modulus)) for e in elements]
     if not _is_module(src, sigma, moduli, cfg.order):
         fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
-        rows = [
-            [_centered_object(c.values, cfg.modulus).tolist() for c in r]
-            for r in ambient.relations
-        ]
+        rows = _centered_object(ambient.relations, cfg.modulus)
         lifted = PresentedModule(fine, ambient.gen_names, rows)
         src, sigma, moduli, cols = lifted.ctx, lifted.sigma_matrix, lifted.moduli, []
         for e in elements:
@@ -625,7 +631,7 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
        independent mod p.
 
     The result is presented on one generator per element, with the
-    relations of _synthesized_relations.
+    relation array of _synthesized_relations.
     """
     cfg = ambient.cfg
     ctx = ambient.ctx
@@ -681,9 +687,10 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     return Submodule(sub, inc)
 
 
-def _synthesized_relations(cfg: GroupConfig, k: int, model: _Model, proj, lift) -> list:
-    """Relations on k generators y_j that present a model, given proj from
-    the free module on the y_j onto the model and its right inverse lift.
+def _synthesized_relations(cfg: GroupConfig, k: int, model: _Model, proj, lift) -> np.ndarray:
+    """The (r, k, d) relation array on k generators y_j that presents a
+    model, given proj from the free module on the y_j onto the model and
+    its right inverse lift.
 
     Read lift column i as k group-ring elements g_i.  The rows say that
     y_j = sum_i proj[i, j p^n] g_i, that sigma g_i = sum_l sigma[l, i] g_l
@@ -703,11 +710,8 @@ def _synthesized_relations(cfg: GroupConfig, k: int, model: _Model, proj, lift) 
     act = shifted - linalg.matmul(ctx, lift, model.sigma)
     tors = [lift[:, i] * q for i, q in enumerate(model.moduli) if q is not None]
     cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
-    return [
-        tuple(GroupRingElement(cfg, cols[j * d : (j + 1) * d, c].tolist()) for j in range(k))
-        for c in range(cols.shape[1])
-        if cols[:, c].any()
-    ]
+    rows = cols[:, (cols != 0).any(axis=0)].T
+    return rows.reshape(len(rows), k, d)
 
 
 def direct_sum(*modules: PresentedModule) -> DirectSum:

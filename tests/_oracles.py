@@ -85,6 +85,26 @@ def cokernel_valuations_mod_pN(p: int, precision: int, rows) -> list:
     return sorted(v for v in vals if v > 0)
 
 
+def expanded_relation_lattice(order: int, k: int, rows) -> list:
+    """The relation lattice of a presentation on k generators, as k*d rows.
+
+    rows holds one entry per relation, each a list of k integer
+    coefficient lists (the coefficient of sigma^t at index t).  Relation
+    r contributes the columns r*d + t, its shifts sigma^t times r, with
+    the cyclic convolution written out by hand; nothing is reduced.
+    """
+    d = order
+    cols = []
+    for row in rows:
+        for t in range(d):
+            col = [0] * (k * d)
+            for g, coeffs in enumerate(row):
+                for s, coeff in enumerate(coeffs):
+                    col[g * d + (s + t) % d] += coeff
+            cols.append(col)
+    return [[col[i] for col in cols] for i in range(k * d)]
+
+
 class FiniteModule:
     """A finite abelian p-group with an automorphism, enumerated outright."""
 

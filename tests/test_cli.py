@@ -104,9 +104,21 @@ def _set(path, value):
 # (document in the docs fixture, edit, command reading it)
 MALFORMED = {
     "module.p": ("ideal31.json", _set(["p"], "three"), ["cohomology"]),
+    "module.coefficient": ("ideal31.json", _set(["relations", 0, 0, 0], 1.5), ["cohomology"]),
+    "module.generators": ("ideal31.json", _set(["generators"], "ab"), ["cohomology"]),
     "extension.cocycle": (
         "carry31.json",
         _set(["cocycle", 1, 1], ["x"]),
+        ["construct", "split-module", "--extension"],
+    ),
+    "extension.entry": (
+        "carry31.json",
+        _set(["cocycle", 2, 2, 0], 1.9),
+        ["construct", "split-module", "--extension"],
+    ),
+    "extension.entry-bool": (
+        "carry31.json",
+        _set(["cocycle", 2, 2, 0], True),
         ["construct", "split-module", "--extension"],
     ),
     "extension.action": (

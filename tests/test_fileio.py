@@ -12,7 +12,7 @@ from cyclomod.constructions import (
     j_module,
     zero_extension,
 )
-from cyclomod.errors import ParseError
+from cyclomod.errors import InfiniteKernel, ParseError
 from cyclomod.modules import (
     augmentation_ideal,
     direct_sum,
@@ -72,6 +72,27 @@ def test_extension_entry_beyond_int64_loads_reduced():
     assert doc["cocycle"][2][2][0] > 2**63
     again = fileio.load_text(json.dumps(doc))
     assert fileio.save_text(again) == fileio.save_text(ext)
+
+
+def test_document_numbers_must_be_integers():
+    # int() would truncate these to a valid document
+    doc = delta(augmentation_ideal(C32)).to_dict()
+    assert [lv["invariants"] for lv in doc["levels"]] == [[1], [2]]
+    doc["levels"][0]["invariants"] = [1.5]
+    doc["levels"][1]["invariants"] = [2.5]
+    with pytest.raises(ParseError):
+        fileio.load_text(json.dumps(doc))
+
+
+def test_huge_kernel_invariant_is_an_infinite_kernel():
+    # p^40 exceeds int64; it is reduced mod p^N (to 0, a free coordinate)
+    # before any fixed-width cast
+    doc = {
+        "kind": "extension", "p": 3, "n": 1, "precision": 11,
+        "kernel_invariants": [1, 40], "action": [[1, 0], [0, 1]], "cocycle": "split",
+    }
+    with pytest.raises(InfiniteKernel):
+        fileio.load_text(json.dumps(doc))
 
 
 def test_pipeline_input_load_save_load_is_identity():

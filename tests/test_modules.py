@@ -9,9 +9,11 @@ from cyclomod import linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power
 from cyclomod.cohomology import tate
 from cyclomod.config import GroupConfig
-from cyclomod.errors import IllDefinedHom
+from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod.modules import (
     ModuleHom,
+    PresentedModule,
+    _quotient_model,
     augmentation_ideal,
     direct_sum,
     fixed_points,
@@ -27,7 +29,11 @@ from cyclomod.modules import (
 )
 from cyclomod.suites import random_presented_module
 
-from _oracles import cokernel_valuations_mod_pN, fixed_space_rank
+from _oracles import (
+    cokernel_valuations_mod_pN,
+    expanded_relation_lattice,
+    fixed_space_rank,
+)
 
 
 def cfg(p=3, n=1, precision=8):
@@ -169,43 +175,77 @@ def test_submodule_of_free_module():
     assert inc_img == 3 * lam.generator(0)
 
 
-def test_presentation_invariants_match_oracle():
-    c = cfg(p=3, n=1, precision=6)
-    rng = random.Random(17)
-    d = c.order
-    for _ in range(8):
-        k = rng.randrange(1, 3)
-        n_rel = rng.randrange(0, 3)
-        rel_rows = [
-            [[rng.randrange(-4, 5) for _ in range(d)] for _ in range(k)]
-            for _ in range(n_rel)
-        ]
-        mod = None
-        try:
-            from cyclomod.modules import PresentedModule
+PRESENTATION_GROUPS = ((3, 1, 6), (3, 2, 12), (2, 3, 12), (7, 1, 11))
 
-            mod = PresentedModule(c, [f"g{i}" for i in range(k)], rel_rows)
-        except Exception:
-            continue
-        # Expand the relation lattice independently: one column per
-        # relation per shift, cyclic convolution done by hand.
-        cols = []
-        for row in rel_rows:
-            for t in range(d):
-                col = [0] * (k * d)
-                for g, coeffs in enumerate(row):
-                    for s, coeff in enumerate(coeffs):
-                        col[g * d + (s + t) % d] += coeff
-                cols.append(col)
-        if cols:
-            rows_int = [[cols[j][i] for j in range(len(cols))] for i in range(k * d)]
-        else:
-            rows_int = [[0] for _ in range(k * d)]
-        expected = cokernel_valuations_mod_pN(c.p, c.precision, rows_int)
-        got = sorted(
-            list(mod.torsion_invariants()) + [c.precision] * mod.zp_rank()
-        )
-        assert got == expected
+
+def _random_coefficient(c, rng):
+    """One group-ring coefficient as a GroupRingElement, an int or a list,
+    with its integer coefficient list for the oracle.
+
+    Values run negative, and some exceed 2^63 while keeping a small
+    residue, so a cast before reduction would overflow.
+    """
+    d = c.order
+
+    def value():
+        v = rng.randrange(-4, 5)
+        return v + 2**64 * c.modulus if rng.random() < 0.15 else v
+
+    form = rng.randrange(3)
+    if form == 0:
+        vals = [value() for _ in range(d)]
+        return GroupRingElement(c, vals), vals
+    if form == 1:
+        v = value()
+        return v, [v] + [0] * (d - 1)
+    vals = [value() for _ in range(d)]
+    return vals, vals
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_presentation_invariants_match_oracle():
+    checked = 0
+    for group in PRESENTATION_GROUPS:
+        c = cfg(*group)
+        ctx = linalg.context_of(c)
+        rng = random.Random(17)
+        d = c.order
+        for case in range(8):
+            k = case % 3  # k = 0 included
+            n_rel = rng.randrange(0, 3)
+            given, ints = [], []
+            for _ in range(n_rel):
+                pairs = [_random_coefficient(c, rng) for _ in range(k)]
+                given.append([x for x, _ in pairs])
+                ints.append([v for _, v in pairs])
+            try:
+                mod = PresentedModule(c, [f"g{i}" for i in range(k)], given)
+            except PrecisionExhausted:
+                continue
+            rows_int = expanded_relation_lattice(d, k, ints)
+            reduced = [[v % c.modulus for v in row] for row in rows_int]
+            lattice = np.array(reduced, dtype=object).reshape(k * d, n_rel * d)
+            shift = [
+                [int(i // d == j // d and i % d == (j + 1) % d) for j in range(k * d)]
+                for i in range(k * d)
+            ]
+            shift = np.array(shift, dtype=object).reshape(k * d, k * d)
+            model, proj, lift = _quotient_model(
+                ctx, linalg.mat(ctx, lattice), linalg.mat(ctx, shift)
+            )
+            assert mod.moduli == model.moduli
+            assert np.array_equal(mod.sigma_matrix, model.sigma)
+            assert np.array_equal(mod._proj, proj)
+            assert np.array_equal(mod._lift, lift)
+            checked += 1
+            if k * d > 6:
+                continue  # the minors oracle is exponential in k * d
+            expected = cokernel_valuations_mod_pN(
+                c.p, c.precision, rows_int if n_rel else [[0] for _ in range(k * d)]
+            )
+            got = sorted(list(mod.torsion_invariants()) + [c.precision] * mod.zp_rank())
+            assert got == expected
+    assert checked >= 24
 
 
 # -- submodules against independent oracles ------------------------------

@@ -62,8 +62,26 @@ An intended change regenerates it with
     PYTHONPATH=src:tests python -c "from test_reports_stable import \
 extension_documents; print(extension_documents(), end='')" \
         > tests/golden/extensions.json
+
+tests/golden/modules.json holds save_text of the module documents
+built by module_documents() below, and save_text of each reloaded:
+the augmentation ideal, J_0..J_2, a three-summand direct sum, a
+quotient of the group ring, the fixed points of the ideal and of the
+quotient; seeded random
+presentations with their fixed points and the fixed points of those;
+and the kernels of hand-written extension documents.  Some of the
+fixed points (of the quotient at p = 3, of random5.fixed at C4) lie
+in derived ambients whose centered model is not a module, so they
+are found on the ambient re-normalized from its synthesized
+relations (modules._exact_lift).  An intended change regenerates it
+with
+
+    PYTHONPATH=src:tests python -c "from test_reports_stable import \
+module_documents; print(module_documents(), end='')" \
+        > tests/golden/modules.json
 """
 
+import json
 import random
 from pathlib import Path
 
@@ -81,14 +99,24 @@ from cyclomod.constructions import (
     theorem1_verify,
     zero_extension,
 )
+from cyclomod.arith import sigma_power
 from cyclomod.modules import (
     PresentedModule,
     Submodule,
     augmentation_ideal,
     direct_sum,
+    fixed_points,
+    free_module,
+    quotient_by_image,
+    scalar_action_hom,
     trivial_module,
 )
-from cyclomod.suites import ALL_SUITES, _pipeline_battery, _random_cochain
+from cyclomod.suites import (
+    ALL_SUITES,
+    _pipeline_battery,
+    _random_cochain,
+    random_presented_module,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -183,3 +211,54 @@ def extension_documents() -> str:
 @pytest.mark.filterwarnings("ignore:p = 2")
 def test_extension_documents_match_golden():
     assert extension_documents() == (GOLDEN / "extensions.json").read_text()
+
+
+# (p, n, precision); 7^11 takes the object-dtype path
+MODULE_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (7, 1, 11)]
+# (kernel_invariants, action) of split extension documents; a 0 invariant
+# kills its generator, and the actions need not satisfy sigma^d = 1
+EXTENSION_KERNELS = [
+    ([2, 0], [[1, 1], [0, 1]]),
+    ([1, 0, 2], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    ([0, 3, 1], [[2, -1, 0], [1, 1, 1], [0, 4, -1]]),
+]
+
+
+def module_documents() -> str:
+    """The module documents pinned by tests/golden/modules.json."""
+    docs = {}
+    for p, n, precision in MODULE_GROUPS:
+        cfg = GroupConfig(p, n, precision)
+        ideal = augmentation_ideal(cfg)
+        lam = free_module(cfg, 1)
+        pushed = p * (sigma_power(cfg, 1) - sigma_power(cfg, 0))
+        quotient = quotient_by_image(scalar_action_hom(lam, pushed)).module
+        modules = {
+            "ideal": ideal,
+            **{f"J{e}": j_module(cfg, e) for e in range(3)},
+            "sum": direct_sum(ideal, trivial_module(cfg, 1), trivial_module(cfg, 2)).module,
+            "quotient": quotient,
+            "ideal.fixed": fixed_points(ideal).module,
+            "quotient.fixed": fixed_points(quotient).module,
+        }
+        for seed in range(6):
+            module = random_presented_module(cfg, random.Random(seed))
+            fixed = fixed_points(module).module
+            modules[f"random{seed}"] = module
+            modules[f"random{seed}.fixed"] = fixed
+            modules[f"random{seed}.fixed.fixed1"] = fixed_points(fixed, 1).module
+        for i, (invariants, action) in enumerate(EXTENSION_KERNELS):
+            text = json.dumps({
+                "kind": "extension", "p": p, "n": n, "precision": precision,
+                "kernel_invariants": invariants, "action": action, "cocycle": "split",
+            })
+            modules[f"kernel{i}"] = fileio.load_text(text).kernel
+        for name, module in modules.items():
+            saved = fileio.save_text(module)
+            docs[f"p{p}n{n}.{name}"] = [saved, fileio.save_text(fileio.load_text(saved))]
+    return fileio.machine_report(docs)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_module_documents_match_golden():
+    assert module_documents() == (GOLDEN / "modules.json").read_text()
