@@ -126,7 +126,7 @@ class ExtensionData:
         moved = linalg.matmul(ctx, ka.sigma_matrix, cols).T.reshape(d, d, m)
         bc = np.add.outer(range(d), range(d)) % d
         row0 = f[0][bc] - f[0][:, None]
-        row1 = moved - np.roll(f, -1, axis=0) + f[1][bc] - f[1][:, None]
+        row1 = moved - np.roll(f, -1, axis=0) + f[1 % d][bc] - f[1 % d][:, None]
         lhs = np.stack([row0, row1]).reshape(2 * d * d, m).T
         bad = (_canon_rows(ctx, lhs, ka.moduli) != 0).any(axis=0)
         if bad.any():

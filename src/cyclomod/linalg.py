@@ -5,8 +5,10 @@ searches) reduces to a few primitives implemented here on numpy arrays:
 
 * smith: diagonalization D = U A V with unit-determinant transforms,
   pivots chosen by minimal p-valuation, ties broken in row-major order.
-  Callers ask only for the transforms they read, and may run it at a
-  raised precision with a lower zero ceiling (see smith()).
+  The pivot loop keeps its multipliers in place (LU storage) and the
+  transforms are assembled once at the end; callers ask only for the
+  ones they read, and may run it at a raised precision with a lower
+  zero ceiling (see smith()).
 * solve: particular solutions of A X = B mod p^N.
 * kernel_cols: generators of the congruence kernel {x : A x = 0 mod p^N}.
 * saturated_kernel_cols: generators of the p-adic kernel, i.e. the
@@ -132,7 +134,7 @@ class Smith:
 
     dvals lists the valuations of the pivot entries, nondecreasing, each
     strictly below the guard band.  Diagonal slots past len(dvals) are
-    zeros at the elimination's ceiling.  left, its tracked inverse and
+    zeros at the elimination's ceiling.  left, its inverse left_inv and
     right all have unit determinant; a transform the caller did not ask
     for is None.
     """
@@ -142,9 +144,6 @@ class Smith:
     right: np.ndarray | None
     dvals: list
     shape: tuple
-
-    def dval_col(self, j: int, precision: int) -> int:
-        return self.dvals[j] if j < len(self.dvals) else precision
 
     def diagonal_matrix(self, ctx: Context) -> np.ndarray:
         d = zeros(ctx, *self.shape)
@@ -169,88 +168,94 @@ def smith(
     valuation in the guard band: at that point "tiny but nonzero" cannot
     be told apart from "zero at higher precision".
 
-    rows and cols say whether to keep the row transforms (left, left_inv)
-    and the column transform (right); skipping an unread one saves a
-    square update per pivot.  Residues of valuation at or above
-    ceiling (default N) count as zero: a caller working at a raised
-    precision N on residues known mod p^N0 passes ceiling=N0 and guard
-    N - N0 + guard0, which keeps the guard band [N0 - guard0, N0).
+    rows and cols say whether to build the row transforms (left,
+    left_inv) and the column transform (right).  Residues of valuation
+    at or above ceiling (default N) count as zero: a caller working at a
+    raised precision N on residues known mod p^N0 passes ceiling=N0 and
+    guard N - N0 + guard0, which keeps the guard band [N0 - guard0, N0).
 
-    Only the live block is updated.  At pivot k, rows k.. are zero in
-    columns ..k-1 and rows ..k-1 are zero off the diagonal, so the row
-    operations, swaps and unit scaling touch columns k.. alone; once the
-    rows below are cleared, column k is zero off the pivot and the column
-    operations reduce to zeroing the rest of row k, which only right
-    records.  That zeroing is exact: every entry of the live block is
-    divisible by p^pv as an integer.
+    The elimination runs on one working array W = [A | I_m], with the
+    identity block only when rows is set.  Row swaps move whole rows and
+    column swaps whole columns of the A block, so the row operations
+    reach left, the identity block, at no extra cost.  Pivot k of
+    valuation v and unit u leaves u in W[k, k], the column multipliers
+    W[i, k] // p^v below it and the row multipliers W[k, j] // p^v to
+    its right (exact divisions: every live entry is divisible by p^v),
+    where later swaps permute them as in-place LU storage does.  Only
+    W[k+1:, k+1:] is updated, by one rank-one row operation; no column
+    operation is applied, as no later pivot reads row k.
+
+    With P and Q the row and column permutations, L the stored lower
+    part with the units on its diagonal and T the stored unit upper
+    part, left = L^-1 P, so left_inv = P^T L is read off without an
+    inversion, and right = Q T^-1.  Rows r.. of T are the identity's, r
+    the number of pivots, so T = [[T11, T12], [0, I]] and T^-1 =
+    [[T11^-1, -T11^-1 T12], [0, I]]: only the r x r block T11 is
+    inverted, by back substitution, and T12 enters through one product.
     """
     a = mat(ctx, a)
     m, n = a.shape
-    u = uinv = v_ = None
     if rows:
-        u, uinv = eye(ctx, m), eye(ctx, m)
-    if cols:
-        v_ = eye(ctx, n)
-    mod = ctx.modulus
-    p = ctx.p
+        a = np.concatenate([a, eye(ctx, m)], axis=1)
+    mod, p = ctx.modulus, ctx.p
     top = ctx.precision if ceiling is None else ceiling
+    row_of, col_of = list(range(m)), list(range(n))
     dvals: list = []
-    k = 0
-    pv = 0
-    limit = min(m, n)
-    while k < limit:
-        sub = a[k:, k:]
-        # Escalate pv until some remaining entry has valuation <= pv.
-        # Valuations never decrease under the row operations below, so
-        # the scan can resume from the previous pivot's valuation.
-        loc = None
+    k = pv = 0
+    while k < min(m, n):
+        # Escalate pv until some live entry has valuation <= pv.  Valuations
+        # never decrease under the row operations below, so the scan can
+        # resume from the previous pivot's valuation.
         while pv < top:
-            nz = (sub % (p ** (pv + 1))) != 0
-            if nz.any():
-                flat = int(np.argmax(nz))
-                loc = divmod(flat, sub.shape[1])
+            nz = (a[k:, k:n] % (p ** (pv + 1))) != 0
+            i, j = divmod(int(nz.argmax()), n - k)
+            if nz[i, j]:
                 break
             pv += 1
-        if loc is None:
+        else:
             break
         if pv >= ctx.guard_floor:
             raise PrecisionExhausted(
                 f"pivot valuation {pv} inside guard band "
                 f"[{ctx.guard_floor}, {top})"
             )
-        i, j = loc[0] + k, loc[1] + k
+        i, j = i + k, j + k
         if i != k:
-            _swap(a[:, k:], k, i)
-            if rows:
-                _swap(u, k, i)
-                _swap(uinv.T, k, i)
+            _swap(a, k, i)
+            row_of[k], row_of[i] = row_of[i], row_of[k]
         if j != k:
-            _swap(a[k:, :].T, k, j)
-            if cols:
-                _swap(v_.T, k, j)
+            _swap(a[:, :n].T, k, j)
+            col_of[k], col_of[j] = col_of[j], col_of[k]
         pk = p**pv
         unit = int(a[k, k]) // pk
         if unit != 1:
-            w = scalar_inverse(ctx, unit)
-            a[k, k:] = (a[k, k:] * w) % mod
-            if rows:
-                u[k, :] = (u[k, :] * w) % mod
-                uinv[:, k] = (uinv[:, k] * unit) % mod
-        col = a[k + 1 :, k]
-        if col.size and (col != 0).any():
-            q = col // pk
-            a[k + 1 :, k:] = (a[k + 1 :, k:] - q[:, None] * a[k, k:]) % mod
-            if rows:
-                u[k + 1 :, :] = (u[k + 1 :, :] - q[:, None] * u[k, :]) % mod
-                uinv[:, k] = (uinv[:, k] + matmul(ctx, uinv[:, k + 1 :], q.reshape(-1, 1)).ravel()) % mod
-        row = a[k, k + 1 :]
-        if row.size and (row != 0).any():
-            if cols:
-                q = row // pk
-                v_[:, k + 1 :] = (v_[:, k + 1 :] - v_[:, k : k + 1] * q[None, :]) % mod
-            a[k, k + 1 :] = 0
+            a[k, k + 1 :] = (a[k, k + 1 :] * scalar_inverse(ctx, unit)) % mod
+        a[k, k] = unit
+        q = a[k + 1 :, k] // pk
+        if q.any():
+            live = a[k + 1 :, k + 1 :]
+            live -= q[:, None] * a[k, k + 1 :]
+            live %= mod
+            a[k + 1 :, k] = q
+        if cols and pv:
+            a[k, k + 1 : n] //= pk
         dvals.append(pv)
         k += 1
+    u = uinv = v_ = None
+    if rows:
+        u = a[:, n:].copy()
+        lower = eye(ctx, m)
+        lower[:, :k] = np.tril(a[:, :k])
+        uinv = np.empty_like(lower)
+        uinv[row_of] = lower
+    if cols:
+        upper = eye(ctx, n)
+        for s in range(k - 2, -1, -1):
+            below = upper[s + 1 : k, s + 1 : k]
+            upper[s, s + 1 : k] = -matmul(ctx, a[s : s + 1, s + 1 : k], below) % mod
+        upper[:k, k:] = -matmul(ctx, upper[:k, :k], a[:k, k:n]) % mod
+        v_ = np.empty_like(upper)
+        v_[col_of] = upper
     return Smith(u, uinv, v_, dvals, (m, n))
 
 
@@ -288,19 +293,18 @@ def solve(ctx: Context, a, b, sm: Smith | None = None):
 
 
 def kernel_cols(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
-    """Generators of the congruence kernel {x : A x = 0 mod p^N}."""
+    """Generators of the congruence kernel {x : A x = 0 mod p^N}.
+
+    Column j of right scaled by p^(N - d_j), for each slot with d_j > 0.
+    """
     if sm is None:
         sm = smith(ctx, a, rows=False)
-    n = sm.shape[1]
-    cols = []
-    for j in range(n):
-        d = sm.dval_col(j, ctx.precision)
-        if d == 0:
-            continue
-        cols.append((sm.right[:, j] * (ctx.p ** (ctx.precision - d))) % ctx.modulus)
-    if not cols:
-        return zeros(ctx, n, 0)
-    return np.stack(cols, axis=1)
+    top = ctx.precision
+    d = np.full(sm.shape[1], top)
+    d[: len(sm.dvals)] = sm.dvals
+    keep = np.flatnonzero(d)
+    powers = np.array([ctx.p**e for e in range(top + 1)], dtype=ctx.dtype)
+    return (sm.right[:, keep] * powers[top - d[keep]]) % ctx.modulus
 
 
 def saturated_kernel_cols(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:

@@ -551,10 +551,10 @@ def _centered_object(a, modulus: int) -> np.ndarray:
 def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarray:
     """The columns x, sigma x, ..., sigma^(d-1) x for each x in turn."""
     out = linalg.zeros(ctx, sigma.shape[0], len(columns) * d)
-    for j, col in enumerate(columns):
-        for t in range(d):
-            out[:, j * d + t] = col.ravel()
-            col = linalg.matmul(ctx, sigma, col)
+    if columns:
+        out[:, ::d] = np.concatenate(columns, axis=1)
+    for t in range(1, d):
+        out[:, t::d] = linalg.matmul(ctx, sigma, out[:, t - 1 :: d])
     return out
 
 
@@ -811,6 +811,8 @@ def augmentation_ideal(cfg: GroupConfig) -> PresentedModule:
     Cached per configuration: the module is immutable and carries its
     own cohomology cache.
     """
+    if cfg.order == 1:
+        return free_module(cfg, 0)
     lam = free_module(cfg, 1, names=["e"])
     one = sigma_power(cfg, 0)
     elems = [

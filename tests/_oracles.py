@@ -1,11 +1,14 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here imports the package under test.  The routines are slow,
-brute-force, and written from first principles on plain Python integers,
-so agreement with the fast implementation is meaningful evidence rather
-than a tautology.  The one exception is smith_full_width, a frozen copy
-of the elimination kernel as it stood before it updated only the live
-block, kept so the current kernel can be compared with it bit for bit.
+The routines are slow, brute-force, and written from first principles on
+plain Python integers without the package under test, so agreement with
+the fast implementation is meaningful evidence rather than a tautology.
+The exceptions are frozen copies of rewritten kernels, kept so the
+current code can be compared with them bit for bit: smith_full_width,
+the elimination as it stood before it updated only the live block, and
+kernel_cols_by_column and orbits_by_column, the congruence kernel and
+the orbit expansion as they looped over columns.  The last two call the
+package's smith, zeros and matmul.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from itertools import combinations, product
 from math import gcd
 
 import numpy as np
+
+from cyclomod import linalg
 
 
 def det_int(rows) -> int:
@@ -376,3 +381,31 @@ def cocycle_first_failure(modulus: int, sigma, moduli, table):
                 if any(x % modulus % q for x, q in zip(lhs, moduli)):
                     return (a, b, c)
     return None
+
+
+def kernel_cols_by_column(ctx, a, sm=None):
+    """Generators of the congruence kernel {x : A x = 0 mod p^N}, one
+    column of the Smith transform at a time."""
+    if sm is None:
+        sm = linalg.smith(ctx, a, rows=False)
+    n = sm.shape[1]
+    cols = []
+    for j in range(n):
+        d = sm.dvals[j] if j < len(sm.dvals) else ctx.precision
+        if d == 0:
+            continue
+        cols.append((sm.right[:, j] * (ctx.p ** (ctx.precision - d))) % ctx.modulus)
+    if not cols:
+        return linalg.zeros(ctx, n, 0)
+    return np.stack(cols, axis=1)
+
+
+def orbits_by_column(ctx, sigma, columns, d):
+    """The columns x, sigma x, ..., sigma^(d-1) x for each x in turn, by
+    one matrix-vector product per orbit member."""
+    out = linalg.zeros(ctx, sigma.shape[0], len(columns) * d)
+    for j, col in enumerate(columns):
+        for t in range(d):
+            out[:, j * d + t] = col.ravel()
+            col = linalg.matmul(ctx, sigma, col)
+    return out

@@ -147,6 +147,29 @@ def test_malformed_document_is_a_parse_error(docs, capsys, case):
     assert err.startswith("ParseError:")
 
 
+def test_split_module_over_the_trivial_group(tmp_path, capsys):
+    # Over C1 the class table has one row and sigma^1 = sigma^0; the
+    # augmentation ideal is zero, so the middle term is the kernel.
+    doc = {
+        "kind": "extension",
+        "p": 3,
+        "n": 0,
+        "precision": 8,
+        "kernel_invariants": [1],
+        "action": [[1]],
+        "cocycle": "split",
+    }
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "--format", "machine", "construct", "split-module", "--extension", str(path)
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["module"] == report["kernel"]
+    assert report["module"].endswith("underlying group Z/3")
+
+
 def test_missing_file_fails(docs, capsys):
     code, _, err = run(capsys, "cohomology", str(docs / "absent.json"))
     assert code == 1

@@ -261,6 +261,32 @@ def test_reduce_is_linear_and_ignores_the_denominator(group):
     assert nontrivial >= REDUCE_SEEDS
 
 
+PRECISION_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (5, 1, 10)]
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize(
+    "group", PRECISION_GROUPS, ids=[f"p{p}n{n}" for p, n, _ in PRECISION_GROUPS]
+)
+def test_tate_invariants_do_not_depend_on_the_precision(group):
+    # Every level and parity agrees at N and N + 8 (the second is on
+    # the object path for p = 3 and 5).  Each module carries a trivial
+    # Z/p^e summand, so the groups are nontrivial even at p = 5, where
+    # the random modules alone have trivial cohomology.
+    p, n, precision = group
+    low, high = GroupConfig(p, n, precision), GroupConfig(p, n, precision + 8)
+
+    def invariants(c, seed):
+        mod = random_presented_module(c, random.Random(seed))
+        m = direct_sum(mod, trivial_module(c, exponent=1 + seed % 3)).module
+        return [tate(m, d, lv).invariants for lv in range(n + 1) for d in (0, 1)]
+
+    for seed in range(12):
+        want = invariants(low, seed)
+        assert any(want)
+        assert invariants(high, seed) == want
+
+
 @pytest.fixture
 def cores(monkeypatch):
     """A fresh shared-core table, holding only what the test builds."""

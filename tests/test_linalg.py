@@ -1,17 +1,26 @@
 """Elimination engine: smith form, solving, and the two kernel notions."""
 
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomod import linalg
-from cyclomod.config import IsoSearchConfig
+from cyclomod import cli, cohomology, linalg
+from cyclomod.config import GroupConfig, IsoSearchConfig
+from cyclomod.constructions import Theorem1Input, j_module, theorem1_verify
 from cyclomod.errors import NotAUnit, PrecisionExhausted
+from cyclomod.fileio import save_file
+from cyclomod.modules import augmentation_ideal, direct_sum, free_module
 
-from _oracles import GuardBand, cokernel_valuations_mod_pN, smith_full_width
+from _oracles import (
+    GuardBand,
+    cokernel_valuations_mod_pN,
+    kernel_cols_by_column,
+    smith_full_width,
+)
 
 
 def ctx(p=3, precision=8, guard=2):
@@ -121,7 +130,13 @@ SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (7, 12)]
 def smith_cases(draw):
     p, precision = draw(st.sampled_from(SMITH_CONTEXTS))
     c = linalg.Context(p, precision, draw(st.integers(0, 4)))
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    # Small shapes, and wide ones like the Tate relation systems.
+    m, n = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.tuples(st.integers(0, 8), st.integers(0, 48)),
+        )
+    )
     # Entries u * p^k: many share a valuation, and k = N gives zeros.
     entry = st.builds(
         lambda u, k: (u * p**k) % c.modulus,
@@ -134,21 +149,18 @@ def smith_cases(draw):
     return c, a, draw(st.booleans()), draw(st.booleans()), ceiling
 
 
-@settings(max_examples=400)
-@given(smith_cases())
-def test_smith_matches_the_full_width_kernel(case):
-    # The live-block updates must leave every output bit for bit as the
-    # elimination that updates whole rows and columns produced it.
-    c, a, rows, cols, ceiling = case
+def _smith_against_full_width(c, a, rows, cols, ceiling, smith=linalg.smith):
+    """smith's result, asserted bit for bit equal to the full-width
+    kernel's; a guard-band raise must come from both or neither."""
     try:
         want = smith_full_width(c.p, c.precision, c.guard, a.copy(), rows, cols, ceiling)
     except GuardBand:
         want = None
     try:
-        sm = linalg.smith(c, a.copy(), rows=rows, cols=cols, ceiling=ceiling)
+        sm = smith(c, a.copy(), rows=rows, cols=cols, ceiling=ceiling)
     except PrecisionExhausted:
         assert want is None
-        return
+        raise
     assert want is not None
     assert sm.shape == a.shape
     assert sm.dvals == want[3]
@@ -158,6 +170,98 @@ def test_smith_matches_the_full_width_kernel(case):
         else:
             assert got.dtype == ref.dtype == c.dtype
             assert np.array_equal(got, ref)
+    return sm
+
+
+@settings(max_examples=400)
+@given(smith_cases())
+def test_smith_matches_the_full_width_kernel(case):
+    # The in-place elimination must leave every output bit for bit as the
+    # elimination that updates whole rows and columns produced it.
+    try:
+        _smith_against_full_width(*case)
+    except PrecisionExhausted:
+        pass
+
+
+@settings(max_examples=150)
+@given(smith_cases())
+def test_kernel_cols_matches_the_column_loop(case):
+    c, a, _, _, _ = case
+    try:
+        want = kernel_cols_by_column(c, a)
+    except PrecisionExhausted:
+        return
+    got = linalg.kernel_cols(c, a)
+    assert got.dtype == want.dtype == c.dtype
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p, precision", SMITH_CONTEXTS)
+def test_kernel_cols_on_each_kind_of_slot(p, precision):
+    # Slots with dval 0 (dropped), 0 < dval < N (scaled) and N (kept
+    # whole, also past min(m, n)), in several column orders, and the
+    # empty shapes; with and without a precomputed Smith form.
+    c = linalg.Context(p, precision, 2)
+    a = linalg.mat(c, [[1, 0, 0, 0], [0, p**2, 0, 0], [0, 0, 0, 0]])
+    empty = [linalg.zeros(c, *shape) for shape in ((0, 0), (0, 3), (3, 0))]
+    for b in (a, a[:, [3, 1, 0, 2]], a.T, *empty):
+        sm = linalg.smith(c, b, rows=False)
+        for got, want in (
+            (linalg.kernel_cols(c, b), kernel_cols_by_column(c, b)),
+            (linalg.kernel_cols(c, b, sm), kernel_cols_by_column(c, b, sm)),
+        ):
+            assert got.dtype == want.dtype == c.dtype
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _theorem1_chain(group):
+    """theorem1_verify on J1 + ideal + free, as the pipeline battery builds it."""
+    cfg = GroupConfig(*group)
+    jm, ideal = j_module(cfg, 1), augmentation_ideal(cfg)
+    lam = free_module(cfg, 1, names=["f"])
+    ds = direct_sum(jm, ideal, lam)
+    data = Theorem1Input(
+        module=ds.module,
+        free_witness=(
+            ds.injections[0].apply(jm.generator(0)),
+            ds.injections[2].apply(lam.generator(0)),
+        ),
+        ideal_witness=ds.injections[1].apply(ideal.generator(0)),
+        rank=2,
+    )
+    assert theorem1_verify(data, IsoSearchConfig(seed=1)).passed
+
+
+def _cohomology_maps(tmp_path):
+    """`cohomology --maps` of J1 at C7, whose modulus 7^11 takes the object path."""
+    path = str(tmp_path / "j1.json")
+    save_file(path, j_module(GroupConfig(7, 1, 11), 1))
+    assert cli.main(["--format", "machine", "cohomology", "--maps", path]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path):
+    # Every elimination of three workload-shaped runs, including the wide
+    # Tate relation systems (m x about 6m) that the cases above never
+    # reach, must equal the full-width kernel bit for bit.  A fresh core
+    # table makes the Tate eliminations run here.
+    monkeypatch.setattr(cohomology, "_cores", weakref.WeakValueDictionary())
+    real = linalg.smith
+    shapes = []
+
+    def checked(c, a, rows=True, cols=True, ceiling=None):
+        a = linalg.mat(c, a)
+        shapes.append((c.dtype, a.shape))
+        return _smith_against_full_width(c, a, rows, cols, ceiling, smith=real)
+
+    monkeypatch.setattr(linalg, "smith", checked)
+    _theorem1_chain((3, 2, 12))
+    _theorem1_chain((2, 3, 12))
+    _cohomology_maps(tmp_path)
+    assert len(shapes) > 300
+    assert any(dtype is object for dtype, _ in shapes)
+    assert any(n >= 5 * m > 0 for _, (m, n) in shapes)
 
 
 def test_solve_roundtrip_and_unsolvable():

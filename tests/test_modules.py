@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomod import linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power
@@ -13,6 +15,7 @@ from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
+    _orbits,
     _quotient_model,
     augmentation_ideal,
     direct_sum,
@@ -33,6 +36,7 @@ from _oracles import (
     cokernel_valuations_mod_pN,
     expanded_relation_lattice,
     fixed_space_rank,
+    orbits_by_column,
 )
 
 
@@ -344,3 +348,29 @@ def test_residues_zero_mod_pN_are_zeros():
     sub = submodule_from_elements(lam, [lam.element([x])])
     assert sub.module.invariant_summary() == (2, ())
     assert sub.inclusion.apply(sub.module.generator(0)) == lam.element([x])
+
+
+@st.composite
+def orbit_cases(draw):
+    # Three int64 contexts and 7^12, which takes the object path.
+    p, precision = draw(st.sampled_from([(3, 8), (2, 12), (5, 6), (7, 12)]))
+    c = linalg.Context(p, precision, 2)
+    m, k = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    d = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 27]))
+    residue = st.integers(0, c.modulus - 1)
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(residue, min_size=rows * cols, max_size=rows * cols))
+        return linalg.mat(c, np.array(flat, dtype=object).reshape(rows, cols))
+
+    return c, matrix(m, m), [matrix(m, 1) for _ in range(k)], d
+
+
+@settings(max_examples=150)
+@given(orbit_cases())
+def test_orbits_match_the_column_loop(case):
+    c, sigma, columns, d = case
+    got = _orbits(c, sigma, columns, d)
+    want = orbits_by_column(c, sigma, columns, d)
+    assert got.dtype == want.dtype == c.dtype
+    assert got.shape == want.shape and np.array_equal(got, want)
