@@ -25,8 +25,11 @@ divisible by a high power of p shows up as a pivot near the precision
 ceiling, and the guard band turns that into a PrecisionExhausted error
 instead of a silent misclassification.
 
-Arrays use int64 when p^N is small enough that intermediate products
-cannot overflow, and Python-integer object arrays otherwise.
+Arrays use int64 when p^N <= 2^31 and Python-integer object arrays
+otherwise (Context.dtype).  Below 2^31 every element-wise step stays
+below 2^62: a residue times a residue, as in the smith update q * row or
+the kernel_cols scaling, plus one more residue.  Only matrix products
+need more care, and matmul is the one routine that forms them.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ import numpy as np
 
 from .errors import NotAUnit, PrecisionExhausted
 
-_INT64_LIMIT = 1 << 25
+_INT64_LIMIT = 1 << 31
 _INT64_CHUNK = 2048
+# Above _ONE_LIMB_LIMIT, matmul cuts its right factor into _LIMB_BITS-bit limbs.
+_ONE_LIMB_LIMIT = 1 << 25
+_LIMB_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -107,17 +113,31 @@ def eye(ctx: Context, size: int) -> np.ndarray:
 
 
 def matmul(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product reduced mod p^N, chunked to avoid int64 overflow."""
+    """Product reduced mod p^N; the package's one matrix product.
+
+    On the int64 path the inner sum is reduced every _INT64_CHUNK = 2^11
+    terms.  Up to p^N = 2^25 a term is below 2^50 and a chunk below 2^61.
+    Above that (up to 2^31) b = b_hi 2^16 + b_lo is cut into 16-bit limbs,
+    multiplied at once as [b_hi | b_lo], and the result is ((a b_hi mod
+    p^N) 2^16 + a b_lo) mod p^N: a term is below 2^31 2^16 = 2^47 and a
+    chunk below 2^58.  Left entries may be negative (|a| < p^N).
+    """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if a.shape[1] == 0:
         return zeros(ctx, a.shape[0], b.shape[1])
-    if ctx.dtype is object or a.shape[1] <= _INT64_CHUNK:
+    split = ctx.modulus > _ONE_LIMB_LIMIT
+    if ctx.dtype is object or not split and a.shape[1] <= _INT64_CHUNK:
         return (a @ b) % ctx.modulus
-    out = zeros(ctx, a.shape[0], b.shape[1])
-    for lo in range(0, a.shape[1], _INT64_CHUNK):
+    if split:
+        b = np.concatenate([b >> _LIMB_BITS, b & ((1 << _LIMB_BITS) - 1)], axis=1)
+    out = (a[:, :_INT64_CHUNK] @ b[:_INT64_CHUNK]) % ctx.modulus
+    for lo in range(_INT64_CHUNK, a.shape[1], _INT64_CHUNK):
         hi = lo + _INT64_CHUNK
-        out = (out + a[:, lo:hi] @ b[lo:hi, :]) % ctx.modulus
+        out = (out + a[:, lo:hi] @ b[lo:hi]) % ctx.modulus
+    if split:
+        c = out.shape[1] // 2
+        out = ((out[:, :c] << _LIMB_BITS) + out[:, c:]) % ctx.modulus
     return out
 
 
@@ -211,7 +231,8 @@ def smith(
             i, j = divmod(int(nz.argmax()), n - k)
             if nz[i, j]:
                 break
-            pv += 1
+            # A zero block has no pivot below the ceiling: stop at once.
+            pv = pv + 1 if a[k:, k:n].any() else top
         else:
             break
         if pv >= ctx.guard_floor:
@@ -394,25 +415,25 @@ def invert(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
 
 def pivot_cols_mod_p(p: int, a: np.ndarray) -> list:
     """Pivot columns, left to right, of the row echelon form of A mod p."""
-    b = (np.array(a, dtype=object) % p).astype(np.int64)
+    b = (np.asarray(a) % p).astype(np.int64, copy=False)
     m, n = b.shape
     pivots: list = []
-    for col in range(n):
+    col = 0
+    while len(pivots) < m:
         rank = len(pivots)
-        if rank == m:
+        hits = np.flatnonzero(b[rank:, col:].any(axis=0))
+        if not hits.size:
             break
-        nz = np.flatnonzero(b[rank:, col])
-        if not nz.size:
-            continue
-        piv = rank + int(nz[0])
-        b[[rank, piv], :] = b[[piv, rank], :]
-        inv = pow(int(b[rank, col]), -1, p)
-        b[rank, :] = (b[rank, :] * inv) % p
-        mask = b[:, col] != 0
-        mask[rank] = False
-        if mask.any():
-            b[mask, :] = (b[mask, :] - np.outer(b[mask, col], b[rank, :])) % p
+        col += int(hits[0])
+        nz = rank + np.flatnonzero(b[rank:, col])
+        _swap(b, rank, nz[0])
+        # Only the rows below with a nonzero entry in the pivot column move.
+        rows = nz[1:]
+        if rows.size:
+            row = (b[rank, col:] * pow(int(b[rank, col]), -1, p)) % p
+            b[rows, col:] = (b[rows, col:] - np.outer(b[rows, col], row)) % p
         pivots.append(col)
+        col += 1
     return pivots
 
 

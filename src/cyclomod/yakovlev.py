@@ -204,11 +204,17 @@ def _hom_divisibility(mat, p, src_exps, tgt_exps) -> bool:
     return not residues.any()
 
 
+def _product(x, y, p: int, exps) -> np.ndarray:
+    """x y mod p^max(exps) by linalg.matmul, row r then reduced mod p^exps[r]."""
+    ctx = linalg.Context(p, max(exps, default=0), 0)
+    return canon_map_matrix(linalg.matmul(ctx, linalg.mat(ctx, x), linalg.mat(ctx, y)), p, exps)
+
+
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int, exps) -> np.ndarray:
     size = len(exps)
     out = np.eye(size, dtype=np.int64)
     for _ in range(e):
-        out = canon_map_matrix(out @ mat, p, exps)
+        out = _product(out, mat, p, exps)
     return out
 
 
@@ -264,18 +270,16 @@ def check_axioms(diagram: YakovlevDiagram) -> list:
             if not _hom_divisibility(m, p, src, tgt):
                 problems.append(f"{name}_{i} is not a well-defined homomorphism")
         for name, m, src, tgt, sig_src, sig_tgt in pair:
-            if not np.array_equal(
-                canon_map_matrix(m @ sig_src, p, tgt), canon_map_matrix(sig_tgt @ m, p, tgt)
-            ):
+            if not np.array_equal(_product(m, sig_src, p, tgt), _product(sig_tgt, m, p, tgt)):
                 problems.append(f"{name}_{i} does not commute with sigma")
-        ab = canon_map_matrix(a @ b, p, hi)
+        ab = _product(a, b, p, hi)
         if not np.array_equal(ab, canon_map_matrix(p * np.eye(len(hi), dtype=np.int64), p, hi)):
             problems.append(f"alpha_{i} beta_{i} is not multiplication by {p}")
         coset = np.zeros((len(lo), len(lo)), dtype=np.int64)
         step = p ** (n - i - 1)
         for t in range(p):
             coset = canon_map_matrix(coset + _mat_pow_mod(sig_lo, t * step, p, lo), p, lo)
-        if not np.array_equal(canon_map_matrix(b @ a, p, lo), coset):
+        if not np.array_equal(_product(b, a, p, lo), coset):
             problems.append(f"beta_{i} alpha_{i} is not the coset-sum action")
     return problems
 
@@ -329,8 +333,7 @@ def _verify_candidate(xs, d1, d2) -> bool:
             return False
     for (s, t, a1), (_, _, a2) in zip(_arrows(d1), _arrows(d2)):
         exps = d2.invariants[t]
-        lhs = canon_map_matrix(xs[t] @ a1, p, exps)
-        if not np.array_equal(lhs, canon_map_matrix(a2 @ xs[s], p, exps)):
+        if not np.array_equal(_product(xs[t], a1, p, exps), _product(a2, xs[s], p, exps)):
             return False
     return True
 

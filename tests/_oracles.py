@@ -7,8 +7,9 @@ The exceptions are frozen copies of rewritten kernels, kept so the
 current code can be compared with them bit for bit: smith_full_width,
 the elimination as it stood before it updated only the live block, and
 kernel_cols_by_column and orbits_by_column, the congruence kernel and
-the orbit expansion as they looped over columns.  The last two call the
-package's smith, zeros and matmul.
+the orbit expansion as they looped over columns (these two call the
+package's smith, zeros and matmul), and pivot_cols_by_column, the mod-p
+pivot columns as they were found by a full reduction, column by column.
 """
 
 from __future__ import annotations
@@ -284,11 +285,12 @@ def smith_full_width(p, precision, guard, a, rows=True, cols=True, ceiling=None)
 
     Every pivot updates whole rows and columns of the working matrix
     and of each transform; an unwanted transform is tracked as an empty
-    slice and comes back as None.  Arrays are int64 when p^N <= 2^25 and
-    Python-integer object arrays otherwise, as in the package.
+    slice and comes back as None.  Arrays are int64 when p^N <= 2^31 and
+    Python-integer object arrays otherwise, as in the package; the one
+    matrix product is formed in Python integers, as it may pass 2^63.
     """
     mod = p**precision
-    dtype = np.int64 if mod <= 1 << 25 else object
+    dtype = np.int64 if mod <= 1 << 31 else object
 
     def eye(size):
         out = np.zeros((size, size), dtype=dtype)
@@ -336,7 +338,8 @@ def smith_full_width(p, precision, guard, a, rows=True, cols=True, ceiling=None)
             q = col // pk
             a[k + 1 :, :] = (a[k + 1 :, :] - q[:, None] * a[k, :]) % mod
             u[k + 1 :, :] = (u[k + 1 :, :] - q[:, None] * u[k, :]) % mod
-            uinv[:, k] = (uinv[:, k] + ((uinv[:, k + 1 :] @ q.reshape(-1, 1)) % mod).ravel()) % mod
+            moved = (uinv[:, k + 1 :].astype(object) @ q.reshape(-1, 1).astype(object)) % mod
+            uinv[:, k] = (uinv[:, k] + moved.ravel().astype(dtype)) % mod
         row = a[k, k + 1 :]
         if row.size and (row != 0).any():
             q = row // pk
@@ -409,3 +412,28 @@ def orbits_by_column(ctx, sigma, columns, d):
             out[:, j * d + t] = col.ravel()
             col = linalg.matmul(ctx, sigma, col)
     return out
+
+
+def pivot_cols_by_column(p, a):
+    """Pivot columns, left to right, of the reduced row echelon form of
+    A mod p, one column at a time."""
+    b = (np.array(a, dtype=object) % p).astype(np.int64)
+    m, n = b.shape
+    pivots: list = []
+    for col in range(n):
+        rank = len(pivots)
+        if rank == m:
+            break
+        nz = np.flatnonzero(b[rank:, col])
+        if not nz.size:
+            continue
+        piv = rank + int(nz[0])
+        b[[rank, piv], :] = b[[piv, rank], :]
+        inv = pow(int(b[rank, col]), -1, p)
+        b[rank, :] = (b[rank, :] * inv) % p
+        mask = b[:, col] != 0
+        mask[rank] = False
+        if mask.any():
+            b[mask, :] = (b[mask, :] - np.outer(b[mask, col], b[rank, :])) % p
+        pivots.append(col)
+    return pivots

@@ -1,7 +1,9 @@
 """Elimination engine: smith form, solving, and the two kernel notions."""
 
+import ast
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import Theorem1Input, j_module, theorem1_verify
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 from cyclomod.fileio import save_file
-from cyclomod.modules import augmentation_ideal, direct_sum, free_module
+from cyclomod.modules import augmentation_ideal, direct_sum, free_module, trivial_module
+from cyclomod.suites import random_presented_module
 
 from _oracles import (
     GuardBand,
     cokernel_valuations_mod_pN,
     kernel_cols_by_column,
+    pivot_cols_by_column,
     smith_full_width,
 )
 
@@ -74,7 +78,7 @@ def test_smith_matches_minor_gcd_oracle():
 
 
 def test_smith_object_dtype_path():
-    c = ctx(p=5, precision=13, guard=2)
+    c = ctx(p=5, precision=14, guard=2)
     assert c.dtype is object
     rng = random.Random(3)
     a = random_matrix(c, rng, 3, 4)
@@ -122,8 +126,9 @@ def test_context_cached_values_leave_equality_and_hash_alone():
     assert a != linalg.Context(7, 12, 3)
 
 
-# (p, N): three int64 contexts and 7^12, which takes the object path.
-SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (7, 12)]
+# (p, N): three int64 contexts, 5^13, whose products are cut into limbs,
+# and 7^12, which takes the object path.
+SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (5, 13), (7, 12)]
 
 
 @st.composite
@@ -234,9 +239,9 @@ def _theorem1_chain(group):
 
 
 def _cohomology_maps(tmp_path):
-    """`cohomology --maps` of J1 at C7, whose modulus 7^11 takes the object path."""
+    """`cohomology --maps` of J1 at C11, whose modulus 11^11 takes the object path."""
     path = str(tmp_path / "j1.json")
-    save_file(path, j_module(GroupConfig(7, 1, 11), 1))
+    save_file(path, j_module(GroupConfig(11, 1, 11), 1))
     assert cli.main(["--format", "machine", "cohomology", "--maps", path]) == 0
 
 
@@ -338,6 +343,132 @@ def test_matmul_matches_object_arithmetic():
     fast = linalg.matmul(c, a, b)
     slow = (np.array(a, dtype=object) @ np.array(b, dtype=object)) % c.modulus
     assert np.array_equal(np.array(fast, dtype=object), slow)
+
+
+# Moduli just below 2^31: int64 arrays, products cut into 16-bit limbs.
+LIMB_CONTEXTS = [(2, 30), (3, 19), (5, 13), (7, 11)]
+
+
+def _object_twin(monkeypatch, c):
+    """The same context on the object path: a Context reads its dtype once."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_INT64_LIMIT", 1)
+        twin = linalg.Context(c.p, c.precision, c.guard)
+        assert twin.dtype is object
+    return twin
+
+
+def _same(fast, slow):
+    assert fast.dtype == np.int64 and slow.dtype == object
+    assert fast.shape == slow.shape and np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("p, precision", LIMB_CONTEXTS)
+def test_int64_path_matches_the_object_path(monkeypatch, p, precision):
+    c = linalg.Context(p, precision, 2)
+    assert c.dtype is np.int64 and c.modulus > linalg._ONE_LIMB_LIMIT
+    slow = _object_twin(monkeypatch, c)
+    rng = random.Random(precision)
+    mod = c.modulus
+
+    def agree(f, *args, **kwargs):
+        """f on both paths: equal arrays, or a guard raise from both."""
+        out = []
+        for ctx_, dtype in ((c, np.int64), (slow, object)):
+            try:
+                got = f(ctx_, *(np.array(x, dtype=dtype) for x in args), **kwargs)
+            except PrecisionExhausted:
+                got = None
+            out.append(got)
+        fast, ref = out
+        if isinstance(fast, linalg.Smith):
+            assert fast.dvals == ref.dvals
+            for name in ("left", "left_inv", "right"):
+                _same(getattr(fast, name), getattr(ref, name))
+        elif fast is None:
+            assert ref is None
+        else:
+            _same(fast, ref)
+        return fast
+
+    # matmul past one chunk, with negative left entries
+    width = 2 * linalg._INT64_CHUNK + 7
+    a = [[rng.randrange(-mod + 1, mod) for _ in range(width)] for _ in range(3)]
+    agree(linalg.matmul, a, [[rng.randrange(mod) for _ in range(4)] for _ in range(width)])
+    # smith with every transform, at the ceiling N and below, kernel_cols
+    # and solve; the last matrix raises in the guard band
+    shapes = [(rng.randrange(1, 9), rng.randrange(1, 33)) for _ in range(40)]
+    cases = [random_matrix(c, rng, m, n, skew=4) for m, n in shapes]
+    cases.append(linalg.mat(c, [[1, 0], [0, p ** (precision - 1)]]))
+    raised = 0
+    for m in cases:
+        raised += agree(linalg.smith, m) is None
+        agree(linalg.smith, m, ceiling=precision - 1)
+        agree(linalg.kernel_cols, m)
+        x = random_matrix(c, rng, m.shape[1], 2, 1)
+        agree(linalg.solve, m, linalg.matmul(c, m, x))
+    assert raised
+
+
+def test_tate_at_c25_is_the_same_on_both_paths(monkeypatch):
+    # C25 at its default precision 5^12 is int64; forcing the object
+    # path must leave every Tate group's invariants as they are.
+    cfg = GroupConfig(5, 2, 12)
+    assert linalg.context_of(cfg).dtype is np.int64
+
+    def invariants(dtype):
+        monkeypatch.setattr(cohomology, "_cores", weakref.WeakValueDictionary())
+        mods = [augmentation_ideal.__wrapped__(cfg)]
+        for seed in range(3):
+            mod = random_presented_module(cfg, random.Random(seed))
+            mods.append(direct_sum(mod, trivial_module(cfg, exponent=1 + seed)).module)
+        assert all(m.sigma_matrix.dtype == dtype for m in mods)
+        groups = [cohomology.tate(m, d, lv) for m in mods for lv in range(3) for d in (0, 1)]
+        return [h.invariants for h in groups]
+
+    want = invariants(np.int64)
+    assert any(want)
+    monkeypatch.setattr(linalg, "_INT64_LIMIT", 1)
+    assert invariants(object) == want
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 8),
+    st.integers(0, 24),
+    st.booleans(),
+    st.data(),
+)
+def test_pivot_cols_match_the_full_reduction(p, m, n, huge, data):
+    # Small and negative entries, many of them multiples of p, and on
+    # object arrays entries of size 10^30.
+    small = st.builds(lambda u, k: u * p**k, st.integers(-p, p), st.integers(0, 2))
+    entry = st.one_of(small, st.integers(-(10**30), 10**30)) if huge else small
+    flat = data.draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    a = np.array(flat, dtype=object if huge else np.int64).reshape(m, n)
+    assert linalg.pivot_cols_mod_p(p, a) == pivot_cols_by_column(p, a)
+
+
+def test_no_matrix_product_outside_matmul():
+    # linalg.matmul is the one product routine: it alone knows how to
+    # keep int64 products from overflowing.  CohomMap.compose multiplies
+    # object arrays and may keep its own product.
+    allowed = {("linalg", "matmul"), ("cohomology", "CohomMap.compose")}
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if (module, scope) not in allowed:
+                found.append(f"{module}.py:{node.lineno} in {scope or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert not found
 
 
 def _counting(verify):

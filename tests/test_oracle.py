@@ -25,7 +25,7 @@ from cyclomod.suites import random_presented_module
 
 from _oracles import hom_space_entrywise
 
-# (7, 1, 11) has p^N above the int64 limit, so it runs the object path.
+# (7, 1, 11) has p^N just below 2^31, so it runs the limb-split int64 products.
 CONFIGS = [(3, 1, 11), (3, 2, 12), (5, 1, 10), (2, 2, 12), (2, 3, 12), (7, 1, 11)]
 SEEDS = range(25)
 # The entry-wise oracle eliminates an (m1 m2)-square system, so pairs

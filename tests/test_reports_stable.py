@@ -15,15 +15,16 @@ tests/golden/cli/<tag>.<command>.json holds the `--format machine`
 stdout of the CLI commands whose output depends on the chosen Tate
 representatives: transfer matrices (`cohomology --maps`), the level
 diagram's sigma/alpha/beta matrices (`delta`) and a found diagram
-isomorphism (`delta-compare`), on J-module documents at C7 (the
-object-dtype path) and at C9, each at the default precision.  An
+isomorphism (`delta-compare`), on J-module documents at C11 (11^11 takes
+the object-dtype path), C7 and C9, each at the default precision.  An
 intended change regenerates them with
 
     PYTHONPATH=src python -c "from cyclomod import fileio; \
 from cyclomod.config import GroupConfig; \
 from cyclomod.constructions import j_module; \
 [fileio.save_file(f'/tmp/{t}.J{e}.json', j_module(GroupConfig(p, n, N), e)) \
-for t, p, n, N in (('p7n1', 7, 1, 11), ('p3n2', 3, 2, 12)) for e in (1, 2)]"
+for t, p, n, N in (('p11n1', 11, 1, 11), ('p7n1', 7, 1, 11), ('p3n2', 3, 2, 12)) \
+for e in (1, 2)]"
     cyclomod --format machine cohomology --maps /tmp/<tag>.J1.json \
         > tests/golden/cli/<tag>.cohomology.json
     cyclomod --format machine delta /tmp/<tag>.J2.json \
@@ -121,7 +122,7 @@ from cyclomod.suites import (
 GOLDEN = Path(__file__).parent / "golden"
 
 # (p, n, precision); built inside the test, where the p = 2 warning is filtered
-CLI_GROUPS = {"p7n1": (7, 1, 11), "p3n2": (3, 2, 12), "p2n3": (2, 3, 12)}
+CLI_GROUPS = {"p11n1": (11, 1, 11), "p7n1": (7, 1, 11), "p3n2": (3, 2, 12), "p2n3": (2, 3, 12)}
 CLI_DOCUMENTS = {
     "J1": lambda c: j_module(c, 1),
     "J2": lambda c: j_module(c, 2),
@@ -134,6 +135,8 @@ CLI_DOCUMENTS = {
 }
 # (golden file stem, group tag, argv naming documents of CLI_DOCUMENTS)
 CLI_CASES = [
+    ("p11n1.cohomology", "p11n1", ["cohomology", "--maps", "J1"]),
+    ("p11n1.delta", "p11n1", ["delta", "J2"]),
     ("p7n1.cohomology", "p7n1", ["cohomology", "--maps", "J1"]),
     ("p7n1.delta", "p7n1", ["delta", "J2"]),
     ("p3n2.cohomology", "p3n2", ["cohomology", "--maps", "J1"]),
@@ -163,7 +166,7 @@ def test_cli_machine_output_matches_golden(tmp_path, capsys, stem, tag, argv):
     assert capsys.readouterr().out == (GOLDEN / "cli" / f"{stem}.json").read_text()
 
 
-# (p, n, precision); 7^11 takes the object-dtype path
+# (p, n, precision); 7^11, just below 2^31, takes the limb-split int64 products
 EXTENSION_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10), (7, 1, 11)]
 
 
@@ -213,7 +216,7 @@ def test_extension_documents_match_golden():
     assert extension_documents() == (GOLDEN / "extensions.json").read_text()
 
 
-# (p, n, precision); 7^11 takes the object-dtype path
+# (p, n, precision); 7^11, just below 2^31, takes the limb-split int64 products
 MODULE_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (7, 1, 11)]
 # (kernel_invariants, action) of split extension documents; a 0 invariant
 # kills its generator, and the actions need not satisfy sigma^d = 1
