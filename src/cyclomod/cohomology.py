@@ -91,7 +91,6 @@ class _TateCore:
         self.ctx = ctx
         m = module.model_dim
         step = cfg.p ** (cfg.n - level)
-        # act_matrix hands out cached arrays: build new ones, never mutate.
         tau_1 = (module.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, m)) % ctx.modulus
         nm = module.act_matrix(subgroup_norm(cfg, level))
         a_mat, b_mat = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
@@ -303,7 +302,7 @@ class CohomMap:
     def compose(self, inner: "CohomMap") -> "CohomMap":
         if inner.target is not self.source:
             raise ValueError("composition mismatch")
-        prod = self.matrix.astype(object) @ inner.matrix.astype(object)
+        prod = _product(self.matrix, inner.matrix, self.target.module.cfg.p, self.target.invariants)
         return CohomMap(inner.source, self.target, prod)
 
     def is_isomorphism(self) -> bool:
@@ -335,6 +334,12 @@ def canon_map_matrix(matrix, p: int, exps) -> np.ndarray:
     for r, f in enumerate(exps):
         mat[r, :] %= p**f
     return mat
+
+
+def _product(x, y, p: int, exps) -> np.ndarray:
+    """x y mod p^max(exps) by linalg.matmul, row r then reduced mod p^exps[r]."""
+    ctx = linalg.Context(p, max(exps, default=0), 0)
+    return canon_map_matrix(linalg.matmul(ctx, linalg.mat(ctx, x), linalg.mat(ctx, y)), p, exps)
 
 
 def restriction(

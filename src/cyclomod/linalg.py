@@ -90,12 +90,14 @@ def valuation_int(ctx: Context, x: int) -> int:
 
 def mat(ctx: Context, data) -> np.ndarray:
     """Coerce to a canonical 2-d array with entries in [0, p^N)."""
-    a = np.array(data, dtype=ctx.dtype)
+    a = np.asarray(data)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    return a % ctx.modulus
+    if a.dtype == object:  # Python integers: reduce before any int64 cast
+        return (a % ctx.modulus).astype(ctx.dtype)
+    return a.astype(ctx.dtype, copy=False) % ctx.modulus
 
 
 def zeros(ctx: Context, rows: int, cols: int) -> np.ndarray:
@@ -293,23 +295,18 @@ def solve(ctx: Context, a, b, sm: Smith | None = None):
     if b.shape[0] != m:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {m}")
     y = matmul(ctx, sm.left, b)
-    z = zeros(ctx, n, b.shape[1])
     r = len(sm.dvals)
-    for i in range(m):
-        d = sm.dvals[i] if i < r else ctx.precision
-        pd = ctx.p**d
-        for c in range(b.shape[1]):
-            e = int(y[i, c])
-            if e % pd == 0:
-                if i < r:
-                    z[i, c] = e // pd
-            else:
-                if valuation_int(ctx, e) >= ctx.guard_floor:
-                    raise PrecisionExhausted(
-                        f"solvability test at diagonal slot {i} depends on a "
-                        f"guard-band valuation"
-                    )
-                return None
+    pd = np.array([ctx.p**d for d in sm.dvals] + [ctx.modulus] * (m - r), dtype=ctx.dtype)
+    fails = np.flatnonzero(y % pd[:, None])
+    if fails.size:  # the first failing entry in row-major order decides
+        i, c = divmod(int(fails[0]), y.shape[1])
+        if valuation_int(ctx, y[i, c]) >= ctx.guard_floor:
+            raise PrecisionExhausted(
+                f"solvability test at diagonal slot {i} depends on a guard-band valuation"
+            )
+        return None
+    z = zeros(ctx, n, b.shape[1])
+    z[:r] = y[:r] // pd[:r, None]
     return matmul(ctx, sm.right, z)
 
 

@@ -8,7 +8,10 @@ normalized coordinate model: a minimal list of Zp-coordinates, each
 either free or killed by an exact power of p, together with the matrix
 of the generator sigma in those coordinates.
 All computation (sums, kernels, quotients, fixed points, cohomology)
-happens at model scale.
+happens at model scale.  A group-ring element acts through a table of
+sigma^0..sigma^(d-1) on the model (d m^2 entries for m coordinates),
+built on a module's first use and shared with the model columns of a
+module built from its model.
 
 A module given by a user presentation is normalized once, by Smith
 elimination of its expanded relation lattice.  Every derived module is
@@ -138,7 +141,6 @@ class PresentedModule:
         rel = relations if relations.dtype == ctx.dtype else relations.astype(object)
         self.relations = (rel % ctx.modulus).astype(ctx.dtype, copy=False)
         self.relations.flags.writeable = False
-        self._act_cache: dict = {}
         self._tate_cache: dict = {}
         if _internal is not None:
             self._model, self._proj, self._lift = _internal
@@ -173,14 +175,13 @@ class PresentedModule:
         m, d = model.dim, cfg.order
         if names is None:
             names = [f"x{i}" for i in range(m)]
-        unit = linalg.eye(ctx, m)
-        proj = _orbits(ctx, model.sigma, [unit[:, i : i + 1] for i in range(m)], d)
-        proj = _canon_rows(ctx, proj, model.moduli)
+        proj = _sigma_powers(ctx, model, d)
         lift = linalg.zeros(ctx, m * d, m)
-        for i in range(m):
-            lift[i * d, i] = 1
+        lift[np.arange(m) * d, np.arange(m)] = 1
         rows = _synthesized_relations(cfg, m, model, proj, lift)
-        return cls(cfg, names, rows, _internal=(model, proj, lift))
+        module = cls(cfg, names, rows, _internal=(model, proj, lift))
+        module._powers = proj.reshape(m, m, d)  # the same sigma^t e_i columns
+        return module
 
     # -- structure ---------------------------------------------------
 
@@ -226,22 +227,19 @@ class PresentedModule:
         """Columns p^d e_i for the torsion coordinates (the model lattice)."""
         return _torsion_columns(self.ctx, self.moduli)
 
+    @functools.cached_property
+    def _powers(self) -> np.ndarray:
+        """The power table: entry [r, c, t] is entry (r, c) of sigma^t."""
+        m, d = self.model_dim, self.cfg.order
+        return _sigma_powers(self.ctx, self._model, d).reshape(m, m, d)
+
     def act_matrix(self, elt) -> np.ndarray:
-        """Matrix of multiplication by a group-ring element on the model."""
-        ctx = self.ctx
-        elt = _coerce_ring(self.cfg, elt)
-        cached = self._act_cache.get(elt.values)
-        if cached is not None:
-            return cached
-        out = linalg.zeros(ctx, self.model_dim, self.model_dim)
-        power = linalg.eye(ctx, self.model_dim)
-        for c in elt.values:
-            if c:
-                out = (out + c * power) % ctx.modulus
-            power = linalg.matmul(ctx, self._model.sigma, power)
-        out = _canon_rows(ctx, out, self._model.moduli)
-        self._act_cache[elt.values] = out
-        return out
+        """Matrix of multiplication by a group-ring element on the model,
+        sum_t c_t sigma^t: the power table times the coefficient column."""
+        ctx, m, d = self.ctx, self.model_dim, self.cfg.order
+        coeffs = np.array(_coerce_ring(self.cfg, elt).values, dtype=ctx.dtype).reshape(d, 1)
+        out = linalg.matmul(ctx, self._powers.reshape(m * m, d), coeffs).reshape(m, m)
+        return _canon_rows(ctx, out, self._model.moduli)
 
     # -- elements ----------------------------------------------------
 
@@ -556,6 +554,13 @@ def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarr
     for t in range(1, d):
         out[:, t::d] = linalg.matmul(ctx, sigma, out[:, t - 1 :: d])
     return out
+
+
+def _sigma_powers(ctx: linalg.Context, model: _Model, d: int) -> np.ndarray:
+    """Column i d + t is sigma^t e_i, rows reduced by the moduli."""
+    unit = linalg.eye(ctx, model.dim)
+    orbits = _orbits(ctx, model.sigma, [unit[:, i : i + 1] for i in range(model.dim)], d)
+    return _canon_rows(ctx, orbits, model.moduli)
 
 
 def _is_module(ctx: linalg.Context, sigma: np.ndarray, moduli, d: int) -> bool:

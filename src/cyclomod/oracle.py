@@ -116,19 +116,17 @@ def hom_space_basis(source: PresentedModule, target: PresentedModule) -> list:
     g = len(gens)
     orbits = _orbits(ctx, source.sigma_matrix, gens, d)
     rel = linalg.kernel_cols(ctx, linalg.hstack(ctx, [orbits, source.torsion_column_matrix()]))
-    powers = [linalg.eye(ctx, m2)]
-    for _ in range(d - 1):
-        powers.append(linalg.matmul(ctx, target.sigma_matrix, powers[-1]))
-    flat = np.stack(powers).reshape(d, m2 * m2)
+    powers = target._powers
+    kappa = rel[: g * d].reshape(g, d, -1).transpose(1, 0, 2).reshape(d, -1)
     # blocks[i, r, j, c]: entry (r, c) of relation i's block for generator j.
-    blocks = np.stack([linalg.matmul(ctx, rel[j * d : (j + 1) * d].T, flat) for j in range(g)], 1)
-    blocks = blocks.reshape(-1, g, m2, m2).transpose(0, 2, 1, 3)
+    blocks = linalg.matmul(ctx, powers.reshape(m2 * m2, d), kappa)
+    blocks = blocks.reshape(m2, m2, g, -1).transpose(3, 0, 2, 1)
     scale = [1 if q is None else ctx.modulus // q for q in target.moduli]
     scale = np.array(scale, dtype=ctx.dtype)[None, :, None, None]
     system = (blocks * scale).reshape(-1, g * m2) % ctx.modulus
     ys = linalg.kernel_cols(ctx, system).reshape(g, m2, -1)
     pivots = linalg.pivot_cols_mod_p(cfg.p, orbits)
-    images = np.stack([linalg.matmul(ctx, powers[c % d], ys[c // d]) for c in pivots], 2)
+    images = np.stack([linalg.matmul(ctx, powers[:, :, c % d], ys[c // d]) for c in pivots], 2)
     images = images.transpose(1, 0, 2).reshape(-1, m1)
     homs = linalg.matmul(ctx, images, linalg.invert(ctx, orbits[:, pivots])).reshape(-1, m2, m1)
     basis = [_canon_rows(ctx, x, target.moduli) for x in homs]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .arith import sigma_power
-from .cohomology import CohomMap, canon_map_matrix, corestriction, restriction, tate
+from .cohomology import CohomMap, _product, canon_map_matrix, corestriction, restriction, tate
 from .config import IsoSearchConfig
 from .errors import AxiomViolation, ParseError
 from .modules import PresentedModule
@@ -202,12 +202,6 @@ def _hom_shape_ok(mat, src_exps, tgt_exps) -> bool:
 def _hom_divisibility(mat, p, src_exps, tgt_exps) -> bool:
     residues = np.asarray(mat).astype(object) % _gap_matrix(p, src_exps, tgt_exps)
     return not residues.any()
-
-
-def _product(x, y, p: int, exps) -> np.ndarray:
-    """x y mod p^max(exps) by linalg.matmul, row r then reduced mod p^exps[r]."""
-    ctx = linalg.Context(p, max(exps, default=0), 0)
-    return canon_map_matrix(linalg.matmul(ctx, linalg.mat(ctx, x), linalg.mat(ctx, y)), p, exps)
 
 
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int, exps) -> np.ndarray:

@@ -8,8 +8,12 @@ current code can be compared with them bit for bit: smith_full_width,
 the elimination as it stood before it updated only the live block, and
 kernel_cols_by_column and orbits_by_column, the congruence kernel and
 the orbit expansion as they looped over columns (these two call the
-package's smith, zeros and matmul), and pivot_cols_by_column, the mod-p
-pivot columns as they were found by a full reduction, column by column.
+package's smith, zeros and matmul), pivot_cols_by_column, the mod-p
+pivot columns as they were found by a full reduction, column by column,
+act_matrix_by_powers, the group-ring action as it formed one sigma-power
+after another for each element, and solve_by_entry, the solvability test
+as it ran entry by entry (these two call the package's linear algebra).
+herbrand_log predicts the ratio of Tate group orders from ranks alone.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from math import gcd
 import numpy as np
 
 from cyclomod import linalg
+from cyclomod.errors import PrecisionExhausted
+from cyclomod.modules import _canon_rows, _coerce_ring
 
 
 def det_int(rows) -> int:
@@ -437,3 +443,73 @@ def pivot_cols_by_column(p, a):
             b[mask, :] = (b[mask, :] - np.outer(b[mask, col], b[rank, :])) % p
         pivots.append(col)
     return pivots
+
+
+def act_matrix_by_powers(module, elt):
+    """Matrix of multiplication by a group-ring element on the model,
+    summing c_t sigma^t over the powers sigma^0..sigma^(d-1), formed one
+    product after another."""
+    ctx, m = module.ctx, module.model_dim
+    out = linalg.zeros(ctx, m, m)
+    power = linalg.eye(ctx, m)
+    for c in _coerce_ring(module.cfg, elt).values:
+        if c:
+            out = (out + c * power) % ctx.modulus
+        power = linalg.matmul(ctx, module.sigma_matrix, power)
+    return _canon_rows(ctx, out, module.moduli)
+
+
+def solve_by_entry(ctx, a, b, sm=None):
+    """One solution X of A X = B mod p^N, or None, testing the entries
+    of left B against the pivots one at a time in row-major order."""
+    if sm is None:
+        sm = linalg.smith(ctx, a)
+    b = linalg.mat(ctx, b)
+    m, n = sm.shape
+    y = linalg.matmul(ctx, sm.left, b)
+    z = linalg.zeros(ctx, n, b.shape[1])
+    r = len(sm.dvals)
+    for i in range(m):
+        d = sm.dvals[i] if i < r else ctx.precision
+        pd = ctx.p**d
+        for c in range(b.shape[1]):
+            e = int(y[i, c])
+            if e % pd == 0:
+                if i < r:
+                    z[i, c] = e // pd
+            else:
+                if linalg.valuation_int(ctx, e) >= ctx.guard_floor:
+                    raise PrecisionExhausted(f"guard-band valuation at diagonal slot {i}")
+                return None
+    return linalg.matmul(ctx, sm.right, z)
+
+
+def herbrand_log(module, level):
+    """log_p of |H^0| / |H^1| (Tate) for the subgroup of order p^level.
+
+    The Herbrand quotient of a Zp-lattice depends only on M (x) Qp and
+    is 1 on finite modules, so it is read off the free block F of the
+    model (sigma modulo torsion): with tau the subgroup's generator and
+    r_j the Qp-rank of ker(tau^(p^j) - 1) on F, a_0 = r_0 and
+    a_j = (r_j - r_(j-1)) / phi(p^j) count the summands Qp(zeta_(p^j)),
+    and the result is level a_0 - sum_(j >= 1) a_j.  Each rank comes
+    from one Smith elimination without transforms; a pivot in the guard
+    band raises PrecisionExhausted.  This checks the orders only: the
+    group structure of H^0 and H^1 is not seen.
+    """
+    cfg, ctx = module.cfg, module.ctx
+    free = [i for i, q in enumerate(module.moduli) if q is None]
+    f = linalg.mat(ctx, module.sigma_matrix[np.ix_(free, free)])
+
+    def fixed_rank(e):
+        """Qp-rank of ker(F^e - 1)."""
+        power = linalg.eye(ctx, len(free))
+        for _ in range(e):
+            power = linalg.matmul(ctx, power, f)
+        diff = (power - linalg.eye(ctx, len(free))) % ctx.modulus
+        return len(free) - len(linalg.smith(ctx, diff, rows=False, cols=False).dvals)
+
+    p, step = cfg.p, cfg.p ** (cfg.n - level)
+    r = [fixed_rank(step * p**j) for j in range(level + 1)]
+    phi = [None] + [p ** (j - 1) * (p - 1) for j in range(1, level + 1)]
+    return level * r[0] - sum((r[j] - r[j - 1]) // phi[j] for j in range(1, level + 1))

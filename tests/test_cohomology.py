@@ -19,7 +19,8 @@ from cyclomod.cohomology import (
     tate,
 )
 from cyclomod.config import GroupConfig
-from cyclomod.errors import PreconditionViolated
+from cyclomod.constructions import j_module
+from cyclomod.errors import PrecisionExhausted, PreconditionViolated
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
@@ -32,7 +33,7 @@ from cyclomod.modules import (
 )
 from cyclomod.suites import random_presented_module
 
-from _oracles import FiniteModule, brute_tate_invariants
+from _oracles import FiniteModule, brute_tate_invariants, herbrand_log
 
 
 def cfg(p=3, n=1, precision=8):
@@ -362,3 +363,32 @@ def test_shared_cores_die_with_their_modules(cores):
     del twins, groups
     gc.collect()
     assert len(cores) == 0
+
+
+HERBRAND_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", HERBRAND_GROUPS)
+def test_tate_orders_match_the_herbrand_quotient(group):
+    # sum inv H^0 - sum inv H^1 at every level, against ranks of fixed
+    # spaces on M (x) Qp.  Zp, the ideal and J1 have quotients other
+    # than 1; the random modules mostly have 1.  Each module gets a
+    # trivial Z/p^e summand, which leaves the quotient as it is and
+    # gives the p = 5 modules nontrivial Tate groups.
+    c = GroupConfig(*group)
+    rng = random.Random(sum(group))
+    named = [zp_trivial(c), augmentation_ideal(c), free_module(c, 2), j_module(c, 1)]
+    bases = named + [random_presented_module(c, rng) for _ in range(20)]
+    checked, values = 0, set()
+    for i, base in enumerate(bases):
+        module = direct_sum(base, trivial_module(c, 1 + i % 3)).module
+        for level in range(c.n + 1):
+            try:
+                h0, h1 = (sum(tate(module, deg, level).invariants) for deg in (0, 1))
+                want = herbrand_log(module, level)
+            except PrecisionExhausted:
+                continue
+            assert h0 - h1 == want, (i, level)
+            checked, values = checked + 1, values | {want}
+    assert checked >= 20 * (c.n + 1) and len(values) >= 3

@@ -24,6 +24,7 @@ from _oracles import (
     kernel_cols_by_column,
     pivot_cols_by_column,
     smith_full_width,
+    solve_by_entry,
 )
 
 
@@ -288,6 +289,51 @@ def test_solve_guard_band_raises():
         linalg.solve(c, [[1], [1]], [[0], [27]])
 
 
+@pytest.mark.parametrize("p, precision", SMITH_CONTEXTS)
+def test_solve_matches_the_entry_loop(p, precision):
+    # Solvable right-hand sides (A X), unsolvable ones (A X plus a unit
+    # in one entry), guard-band ones (plus p^k, k in the band) and both
+    # at once, where the first failing entry decides, each against the
+    # entry-by-entry test: the same solution, None or raise.
+    rng = random.Random(p * precision)
+    outcomes = set()
+    for trial in range(80):
+        c = linalg.Context(p, precision, rng.randrange(1, 4))
+        rows = rng.randrange(2, 7)  # more rows than columns: slots past the rank
+        a = random_matrix(c, rng, rows, rng.randrange(1, rows), skew=precision // 2)
+        b = linalg.matmul(c, a, random_matrix(c, rng, a.shape[1], rng.randrange(1, 4), skew=1))
+        band = rng.randrange(c.guard_floor, precision)
+        for k in ([], [0], [band], [0, band])[trial % 4]:
+            b[rng.randrange(b.shape[0]), rng.randrange(b.shape[1])] += p**k
+        b %= c.modulus
+        results = []
+        for solve in (linalg.solve, solve_by_entry):
+            try:
+                results.append(solve(c, a, b))
+            except PrecisionExhausted:
+                results.append(PrecisionExhausted)
+        got, want = results
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype == c.dtype and np.array_equal(got, want)
+            outcomes.add("solved")
+        else:
+            assert got is want
+            outcomes.add(want)
+    assert outcomes == {"solved", None, PrecisionExhausted}
+
+
+def test_mat_reduces_python_integers_before_the_int64_cast():
+    # 10^30 = 2^30 5^30 is 0 mod 5^12 and mod 5^14: on either path the
+    # matrix is [[0, 1], [2, 3]], of unit determinant.
+    for precision in (12, 14):
+        c = linalg.Context(5, precision, 2)
+        a = linalg.mat(c, [[10**30, 1], [2, -(10**30) + 3]])
+        assert a.dtype == c.dtype and a.tolist() == [[0, 1], [2, 3]]
+        assert linalg.smith(c, [[10**30, 1], [2, 3]]).dvals == [0, 0]
+    b = np.array([[7, -1]], dtype=np.int64)
+    assert linalg.mat(linalg.Context(5, 12, 2), b).tolist() == [[7, 5**12 - 1]]
+
+
 def test_kernel_cols_spans_congruence_kernel():
     c = ctx(p=3, precision=3, guard=1)
     a = linalg.mat(c, [[3, 6], [0, 3]])
@@ -452,9 +498,8 @@ def test_pivot_cols_match_the_full_reduction(p, m, n, huge, data):
 
 def test_no_matrix_product_outside_matmul():
     # linalg.matmul is the one product routine: it alone knows how to
-    # keep int64 products from overflowing.  CohomMap.compose multiplies
-    # object arrays and may keep its own product.
-    allowed = {("linalg", "matmul"), ("cohomology", "CohomMap.compose")}
+    # keep int64 products from overflowing.
+    allowed = {("linalg", "matmul")}
     found = []
 
     def visit(node, module, scope):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomod import linalg
-from cyclomod.arith import GroupRingElement, norm_element, sigma_power
-from cyclomod.cohomology import tate
+from cyclomod.arith import GroupRingElement, norm_element, sigma_power, subgroup_norm
+from cyclomod.cohomology import coset_sum, tate
 from cyclomod.config import GroupConfig
 from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod.modules import (
@@ -33,6 +33,7 @@ from cyclomod.modules import (
 from cyclomod.suites import random_presented_module
 
 from _oracles import (
+    act_matrix_by_powers,
     cokernel_valuations_mod_pN,
     expanded_relation_lattice,
     fixed_space_rank,
@@ -374,3 +375,37 @@ def test_orbits_match_the_column_loop(case):
     want = orbits_by_column(c, sigma, columns, d)
     assert got.dtype == want.dtype == c.dtype
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# d = 27 on the int64 path, 5^13 (d = 25) cut into limbs, 7^12 and 3^20
+# (d = 27) on the object path.
+ACT_GROUPS = [(3, 3, 12), (5, 2, 13), (7, 1, 12), (3, 3, 20)]
+
+
+@pytest.mark.parametrize("group", ACT_GROUPS)
+def test_act_matrix_matches_the_power_loop(group):
+    # The power-table product must give every action matrix bit for bit
+    # as the loop over sigma-powers did, on a lazily built table (the
+    # ideal, a normalized presentation), a table shared with the model
+    # columns (a direct sum, built from its model) and a zero module.
+    c = GroupConfig(*group)
+    rng = random.Random(sum(group))
+    ideal = augmentation_ideal(c)
+    summed = direct_sum(ideal, trivial_module(c, 2)).module
+    zero = PresentedModule(c, ["g"], [[1]])
+    assert zero.model_dim == 0 and np.shares_memory(summed._powers, summed._proj)
+    elements = [sigma_power(c, 1), sigma_power(c, c.order - 1), norm_element(c)]
+    elements += [subgroup_norm(c, i) for i in range(c.n + 1)]
+    elements += [coset_sum(c, j, i) for j in range(c.n + 1) for i in range(j)]
+    big = [10**30, -(10**30), -1, 1]
+    for _ in range(2):
+        elements.append([rng.choice(big) * rng.randrange(c.p**2) for _ in range(c.order)])
+    for module in (ideal, summed, zero, random_presented_module(c, rng)):
+        for elt in elements:
+            got = module.act_matrix(elt)
+            want = act_matrix_by_powers(module, elt)
+            assert got.dtype == want.dtype == module.ctx.dtype
+            assert got.shape == want.shape and np.array_equal(got, want)
+            got[...] = 0  # a new array each call: the next one is unharmed
+        want = act_matrix_by_powers(module, elements[0])
+        assert np.array_equal(module.act_matrix(elements[0]), want)
