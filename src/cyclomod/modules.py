@@ -235,7 +235,7 @@ class PresentedModule:
 
     def act_matrix(self, elt) -> np.ndarray:
         """Matrix of multiplication by a group-ring element on the model,
-        sum_t c_t sigma^t: the power table times the coefficient column."""
+        sum_t c_t sigma^t: _powers (d m^2 entries) times the coefficients."""
         ctx, m, d = self.ctx, self.model_dim, self.cfg.order
         coeffs = np.array(_coerce_ring(self.cfg, elt).values, dtype=ctx.dtype).reshape(d, 1)
         out = linalg.matmul(ctx, self._powers.reshape(m * m, d), coeffs).reshape(m, m)
