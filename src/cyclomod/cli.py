@@ -365,7 +365,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    except CyclomodError as exc:
+    except (CyclomodError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -45,12 +45,16 @@ def default_precision(n: int, guard: int = DEFAULT_GUARD) -> int:
     """Default working exponent N for a group of order p^n.
 
     Leaves room for torsion up to p^8 on top of the n + guard + 1 floor,
-    which covers every desk-scale computation in the test suite.
+    which covers every desk-scale computation in the test suite.  A
+    nonempty CYCLOMOD_PRECISION overrides it and must be an integer.
     """
     env = os.environ.get(PRECISION_ENV_VAR)
-    if env:
+    if not env:
+        return n + guard + 8
+    try:
         return int(env)
-    return n + guard + 8
+    except ValueError:
+        raise PreconditionViolated(f"{PRECISION_ENV_VAR}={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ built from a lattice in the model of an existing one: a submodule is
 lattice, eliminated at the ambient's model size; kernels and fixed
 points are submodules generated by saturated kernel vectors, found by
 keeping only the pivot-free directions of a Smith form, so congruence
-shadows of valuation N - d never enter a structural lattice.  Derived
-modules carry a relation array synthesized from their model.
+shadows of valuation N - d never enter a structural lattice.  A derived
+module is its model; its relation array is synthesized on first read.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ __all__ = [
     "free_cover",
     "images_agree",
     "identity_hom",
-    "zp_rank",
-    "torsion_invariants",
     "scalar_action_hom",
 ]
 
@@ -123,9 +121,10 @@ class PresentedModule:
     the corresponding combination vanishes.  It is stored as a read-only
     (r, k, d) array in the context dtype, entry [rho, g, t] the residue
     mod p^N of the coefficient of sigma^t on generator g in relation rho.
+    A module built from a model (_derived) synthesizes them on first read.
     """
 
-    def __init__(self, cfg: GroupConfig, gen_names, relations, _internal=None):
+    def __init__(self, cfg: GroupConfig, gen_names, relations):
         self.cfg = cfg
         self.gen_names = tuple(str(g) for g in gen_names)
         k, d, ctx = len(self.gen_names), cfg.order, self.ctx
@@ -137,15 +136,13 @@ class PresentedModule:
             relations = np.array(relations, dtype=object).reshape(len(relations), k, d)
         if relations.shape[1:] != (k, d):
             raise ValueError(f"relations must have shape (r, {k}, {d}), not {relations.shape}")
-        # reduce in Python integers before any int64 cast
+        # reduce in Python integers before any int64 cast; this attribute
+        # shadows the relations property that derived modules read
         rel = relations if relations.dtype == ctx.dtype else relations.astype(object)
         self.relations = (rel % ctx.modulus).astype(ctx.dtype, copy=False)
         self.relations.flags.writeable = False
         self._tate_cache: dict = {}
-        if _internal is not None:
-            self._model, self._proj, self._lift = _internal
-        else:
-            self._model, self._proj, self._lift = self._normalize()
+        self._model, self._proj, self._lift = self._normalize()
 
     # -- construction ------------------------------------------------
 
@@ -165,11 +162,26 @@ class PresentedModule:
         return _quotient_model(ctx, rel, linalg.mat(ctx, shift))
 
     @classmethod
-    def _from_model(cls, cfg: GroupConfig, model: _Model, names=None):
-        """Wrap a normalized model in a synthesized presentation.
+    def _derived(cls, cfg: GroupConfig, names, model: _Model, proj, lift):
+        """The module on the named generators whose model was just built.
 
-        The presentation has one generator per model coordinate, with the
-        sigma-action rows and the torsion annihilators as relations.
+        proj maps the free module on the generators onto the model and lift
+        is its right inverse; only the number of names is checked.
+        """
+        names = tuple(map(str, names))
+        if len(names) * cfg.order != proj.shape[1]:
+            raise ValueError(f"{len(names)} names for {proj.shape[1] // cfg.order} generators")
+        module = cls.__new__(cls)
+        module.cfg, module.gen_names, module._tate_cache = cfg, names, {}
+        module._model, module._proj, module._lift = model, proj, lift
+        return module
+
+    @classmethod
+    def _from_model(cls, cfg: GroupConfig, model: _Model, names=None):
+        """The module on one generator per model coordinate.
+
+        Its relations, the sigma-action rows and the torsion annihilators,
+        are synthesized on first read.
         """
         ctx = linalg.context_of(cfg)
         m, d = model.dim, cfg.order
@@ -178,8 +190,7 @@ class PresentedModule:
         proj = _sigma_powers(ctx, model, d)
         lift = linalg.zeros(ctx, m * d, m)
         lift[np.arange(m) * d, np.arange(m)] = 1
-        rows = _synthesized_relations(cfg, m, model, proj, lift)
-        module = cls(cfg, names, rows, _internal=(model, proj, lift))
+        module = cls._derived(cfg, names, model, proj, lift)
         module._powers = proj.reshape(m, m, d)  # the same sigma^t e_i columns
         return module
 
@@ -232,6 +243,29 @@ class PresentedModule:
         """The power table: entry [r, c, t] is entry (r, c) of sigma^t."""
         m, d = self.model_dim, self.cfg.order
         return _sigma_powers(self.ctx, self._model, d).reshape(m, m, d)
+
+    @functools.cached_property
+    def relations(self) -> np.ndarray:
+        """The (r, k, d) relation array on generators y_j, from the model.
+
+        Read lift column i as k group-ring elements g_i.  The rows say that
+        y_j = sum_i proj[i, j p^n] g_i, that sigma g_i = sum_l sigma[l, i] g_l
+        and that p^e g_i = 0 for each torsion coordinate.  They hold in the
+        model, and they make e_i -> g_i a module map from the model onto the
+        presented module; proj @ lift = 1 makes it injective, so these rows
+        generate every relation.  Rows that vanish identically are dropped.
+        """
+        ctx, d, model = self.ctx, self.cfg.order, self._model
+        k, m, lift = len(self.gen_names), model.dim, self._lift
+        spell = -linalg.matmul(ctx, lift, self._proj[:, ::d])
+        spell[::d] += linalg.eye(ctx, k)
+        shifted = np.roll(lift.reshape(k, d, m), 1, axis=1).reshape(k * d, m)
+        act = shifted - linalg.matmul(ctx, lift, model.sigma)
+        tors = [lift[:, i] * q for i, q in enumerate(model.moduli) if q is not None]
+        cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
+        rows = cols.T[(cols != 0).any(axis=0)].reshape(-1, k, d)
+        rows.flags.writeable = False
+        return rows
 
     def act_matrix(self, elt) -> np.ndarray:
         """Matrix of multiplication by a group-ring element on the model,
@@ -635,8 +669,8 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     3. lift, the right inverse of proj, inverts proj on columns that are
        independent mod p.
 
-    The result is presented on one generator per element, with the
-    relation array of _synthesized_relations.
+    The result has one generator per element; its relation array is
+    synthesized from the model on first read.
     """
     cfg = ambient.cfg
     ctx = ambient.ctx
@@ -686,37 +720,9 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
         cols = linalg.pivot_cols_mod_p(cfg.p, proj)
         lift[cols, :] = linalg.invert(ctx, proj[:, cols])
 
-    rows = _synthesized_relations(cfg, k, model, proj, lift)
-    sub = PresentedModule(cfg, names, rows, _internal=(model, proj, lift))
+    sub = PresentedModule._derived(cfg, names, model, proj, lift)
     inc = ModuleHom(sub, ambient, linalg.matmul(ctx, ev, lift), check=False)
     return Submodule(sub, inc)
-
-
-def _synthesized_relations(cfg: GroupConfig, k: int, model: _Model, proj, lift) -> np.ndarray:
-    """The (r, k, d) relation array on k generators y_j that presents a
-    model, given proj from the free module on the y_j onto the model and
-    its right inverse lift.
-
-    Read lift column i as k group-ring elements g_i.  The rows say that
-    y_j = sum_i proj[i, j p^n] g_i, that sigma g_i = sum_l sigma[l, i] g_l
-    and that p^e g_i = 0 for each torsion coordinate.  They hold in the
-    model, and they make e_i -> g_i a module map from the model onto the
-    presented module; proj @ lift = 1 makes it injective, so these rows
-    generate every relation.  Rows that vanish identically are dropped.
-    """
-    ctx = linalg.context_of(cfg)
-    d = cfg.order
-    m = model.dim
-    own = linalg.zeros(ctx, k * d, k)
-    for j in range(k):
-        own[j * d, j] = 1
-    spell = own - linalg.matmul(ctx, lift, proj[:, ::d])
-    shifted = np.roll(lift.reshape(k, d, m), 1, axis=1).reshape(k * d, m)
-    act = shifted - linalg.matmul(ctx, lift, model.sigma)
-    tors = [lift[:, i] * q for i, q in enumerate(model.moduli) if q is not None]
-    cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
-    rows = cols[:, (cols != 0).any(axis=0)].T
-    return rows.reshape(len(rows), k, d)
 
 
 def direct_sum(*modules: PresentedModule) -> DirectSum:
@@ -794,17 +800,6 @@ def fixed_points(module: PresentedModule, level: int | None = None) -> Submodule
     diff = (t - linalg.eye(ctx, module.model_dim)) % ctx.modulus
     hom = ModuleHom(module, module, diff, check=False)
     return kernel_of(hom)
-
-
-# -- free-function conveniences ----------------------------------------
-
-
-def zp_rank(module: PresentedModule) -> int:
-    return module.zp_rank()
-
-
-def torsion_invariants(module: PresentedModule) -> tuple:
-    return module.torsion_invariants()
 
 
 @functools.lru_cache(maxsize=None)

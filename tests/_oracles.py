@@ -12,8 +12,9 @@ package's smith, zeros and matmul), pivot_cols_by_column, the mod-p
 pivot columns as they were found by a full reduction, column by column,
 act_matrix_by_powers, the group-ring action as it formed one sigma-power
 after another for each element, and solve_by_entry, the solvability test
-as it ran entry by entry (these two call the package's linear algebra).
-herbrand_log predicts the ratio of Tate group orders from ranks alone.
+as it ran entry by entry (these two call the package's linear algebra),
+and synthesized_relations, the relation array of a derived module as it
+was built eagerly with the module.  herbrand_log predicts the ratio of Tate group orders from ranks alone.
 """
 
 from __future__ import annotations
@@ -482,6 +483,31 @@ def solve_by_entry(ctx, a, b, sm=None):
                     raise PrecisionExhausted(f"guard-band valuation at diagonal slot {i}")
                 return None
     return linalg.matmul(ctx, sm.right, z)
+
+
+def synthesized_relations(cfg, k: int, model, proj, lift) -> np.ndarray:
+    """The (r, k, d) relation array on k generators y_j that presents a
+    model, given proj from the free module on the y_j onto the model and
+    its right inverse lift.
+
+    Read lift column i as k group-ring elements g_i.  The rows say that
+    y_j = sum_i proj[i, j p^n] g_i, that sigma g_i = sum_l sigma[l, i] g_l
+    and that p^e g_i = 0 for each torsion coordinate.  Rows that vanish
+    identically are dropped.
+    """
+    ctx = linalg.context_of(cfg)
+    d = cfg.order
+    m = model.dim
+    own = linalg.zeros(ctx, k * d, k)
+    for j in range(k):
+        own[j * d, j] = 1
+    spell = own - linalg.matmul(ctx, lift, proj[:, ::d])
+    shifted = np.roll(lift.reshape(k, d, m), 1, axis=1).reshape(k * d, m)
+    act = shifted - linalg.matmul(ctx, lift, model.sigma)
+    tors = [lift[:, i] * q for i, q in enumerate(model.moduli) if q is not None]
+    cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
+    rows = cols[:, (cols != 0).any(axis=0)].T
+    return rows.reshape(len(rows), k, d)
 
 
 def herbrand_log(module, level):

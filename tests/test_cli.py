@@ -310,6 +310,41 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     assert "N=9" in json.loads(out)["config"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "j-module", "--e", "1", "--save", "{missing}"],
+        ["construct", "lemma2", "--input", "{pipe}", "--save-a", "{missing}"],
+        ["construct", "lemma2", "--input", "{pipe}", "--save-b", "{missing}"],
+        ["--out", "{missing}", "verify", "negative"],
+    ],
+)
+def test_unwritable_path_is_a_one_line_error(docs, capsys, argv):
+    # A file that cannot be written ends the command, without a traceback.
+    missing = docs / "no-such-dir" / "out.json"
+    argv = [a.format(missing=missing, pipe=docs / "pipe.json") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("FileNotFoundError:") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("value", ["abc", "12.5"])
+def test_env_var_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("CYCLOMOD_PRECISION", value)
+    code, out, err = run(capsys, "construct", "j-module", "--e", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("PreconditionViolated:") and "CYCLOMOD_PRECISION" in err
+    assert repr(value) in err
+
+
+def test_empty_env_var_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("CYCLOMOD_PRECISION", "")
+    code, out, _ = run(capsys, "--format", "machine", "construct", "j-module", "--e", "1")
+    assert code == 0
+    assert "N=11" in json.loads(out)["config"]
+
+
 def test_module_entry_point():
     # The child imports the package the tests import, installed or not.
     src = str(Path(cyclomod.__file__).parents[1])

@@ -19,19 +19,26 @@ from cyclomod.cohomology import (
     tate,
 )
 from cyclomod.config import GroupConfig
-from cyclomod.constructions import j_module
+from cyclomod.constructions import (
+    cocycle_from_section,
+    j_module,
+    lemma2_pipeline,
+    splitting_module,
+)
 from cyclomod.errors import PrecisionExhausted, PreconditionViolated
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
     augmentation_ideal,
     direct_sum,
+    free_cover,
     free_module,
+    kernel_of,
     scalar_action_hom,
     trivial_module,
     zp_trivial,
 )
-from cyclomod.suites import random_presented_module
+from cyclomod.suites import _pipeline_battery, random_presented_module
 
 from _oracles import FiniteModule, brute_tate_invariants, herbrand_log
 
@@ -392,3 +399,23 @@ def test_tate_orders_match_the_herbrand_quotient(group):
             assert h0 - h1 == want, (i, level)
             checked, values = checked + 1, values | {want}
     assert checked >= 20 * (c.n + 1) and len(values) >= 3
+
+
+def test_theorem1_chain_matches_the_herbrand_quotient():
+    # Every module the C27 J1+ideal chain builds: the quotient is the
+    # input's, 0, -1, -2, -3 by level, on all but the finite kernel A,
+    # where it is 1 (log 0).
+    c = GroupConfig(3, 3, 13)
+    data = _pipeline_battery()[1]["J1+ideal"](c)
+    res = lemma2_pipeline(data)
+    split = splitting_module(cocycle_from_section(res.pi, res.kernel)).module
+    syzygy = split
+    for _ in range(2):
+        syzygy = kernel_of(free_cover(syzygy)[1]).module
+    chain = {"input": data.module, "C1": res.c1, "C2": res.c2, "B": res.b}
+    chain.update({"A": res.kernel.module, "split": split, "syzygy": syzygy})
+    for name, module in chain.items():
+        for level in range(c.n + 1):
+            h0, h1 = (sum(tate(module, deg, level).invariants) for deg in (0, 1))
+            want = herbrand_log(module, level)
+            assert h0 - h1 == want == (0 if name == "A" else -level), (name, level)

@@ -1,5 +1,6 @@
 """Presented modules: normalization, homs, sums, kernels, quotients."""
 
+import json
 import random
 
 import numpy as np
@@ -7,29 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomod import linalg
+from cyclomod import fileio, linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power, subgroup_norm
 from cyclomod.cohomology import coset_sum, tate
 from cyclomod.config import GroupConfig
+from cyclomod.constructions import carry_cocycle, j_module, splitting_module
 from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
+    _centered_object,
     _orbits,
     _quotient_model,
     augmentation_ideal,
     direct_sum,
     fixed_points,
+    free_cover,
     free_module,
     identity_hom,
     kernel_of,
     minimal_generators,
     quotient_by_image,
+    quotient_group_module,
     scalar_action_hom,
     submodule_from_elements,
     trivial_module,
     zp_trivial,
 )
+from cyclomod.oracle import _at_config, hom_space_basis
 from cyclomod.suites import random_presented_module
 
 from _oracles import (
@@ -38,6 +44,7 @@ from _oracles import (
     expanded_relation_lattice,
     fixed_space_rank,
     orbits_by_column,
+    synthesized_relations,
 )
 
 
@@ -409,3 +416,64 @@ def test_act_matrix_matches_the_power_loop(group):
             got[...] = 0  # a new array each call: the next one is unharmed
         want = act_matrix_by_powers(module, elements[0])
         assert np.array_equal(module.act_matrix(elements[0]), want)
+
+
+def derived_modules(c):
+    """(name, module) for each way of building a module from a model.
+
+    J_1 comes from the uncached constructor, so every module is fresh.
+    """
+    lam = free_module(c, 1)
+    ring = [sigma_power(c, 1) - sigma_power(c, 0), c.p]
+    jm = j_module.__wrapped__(c, 1)
+    fixed = fixed_points(jm)
+    yield "direct sum", direct_sum(jm, trivial_module(c, 2)).module
+    yield "submodule", submodule_from_elements(lam, [lam.element([x]) for x in ring]).module
+    yield "quotient", quotient_by_image(fixed.inclusion).module
+    yield "kernel", kernel_of(free_cover(jm)[1]).module
+    yield "fixed points", fixed.module
+    yield "J_1", jm
+    yield "splitting module", splitting_module(carry_cocycle(trivial_module(c, 1))).module
+    yield "coarser config", _at_config(jm, GroupConfig(c.p, c.n, c.precision - 1))
+    yield "quotient group", quotient_group_module(fixed.module, 1)
+
+
+# int64, limb-split and object arithmetic
+LAZY_GROUPS = [(3, 2, 12), (5, 1, 13), (11, 1, 11)]
+
+
+@pytest.mark.parametrize("group", LAZY_GROUPS)
+def test_relations_are_synthesized_only_when_read(group):
+    # Building a module, its Tate groups and its hom space read no
+    # relations; a saved document does, and gets the array the module
+    # used to synthesize when it was built, bit for bit.
+    c = GroupConfig(*group)
+    for name, m in derived_modules(c):
+        for level in range(m.cfg.n + 1):
+            tate(m, 0, level), tate(m, 1, level)
+        hom_space_basis(m, m)
+        assert "relations" not in vars(m), name
+        doc = json.loads(fileio.save_text(m))
+        assert "relations" in vars(m), name
+        want = synthesized_relations(m.cfg, len(m.gen_names), m._model, m._proj, m._lift)
+        got = m.relations
+        assert got.dtype == want.dtype == m.ctx.dtype and not got.flags.writeable, name
+        assert got.shape == want.shape and np.array_equal(got, want), name
+        assert doc["relations"] == _centered_object(want, m.cfg.modulus).tolist(), name
+
+
+def test_wrong_number_of_names_is_rejected():
+    c = cfg(n=2, precision=10)
+    lam = free_module(c, 1)
+    elems = [lam.element([sigma_power(c, 1)]), lam.element([c.p])]
+    _, cover = free_cover(augmentation_ideal(c))
+    dim = quotient_by_image(cover).module.model_dim
+    assert len(submodule_from_elements(lam, elems, names="ab").module.gen_names) == 2
+    for names in ([], ["y"], ["y"] * 3):
+        with pytest.raises(ValueError):
+            submodule_from_elements(lam, elems, names=names)
+    for names in ([], ["y"] * 50):
+        with pytest.raises(ValueError):
+            kernel_of(cover, names=names)
+    with pytest.raises(ValueError):
+        quotient_by_image(cover, names=["q"] * (dim + 1))
