@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=None,
-        help="working precision exponent N (default: CYCLOMOD_PRECISION or n + guard + 8)",
+        help="working precision N (default: CYCLOMOD_PRECISION or max(n + guard + 8, 3n))",
     )
     top.add_argument("--guard", type=int, default=None, help="guard band width")
     top.add_argument("--seed", type=int, default=0, help="search seed")

@@ -18,11 +18,11 @@ This stays correct even when the model's structure constants are
 residues of p-adic numbers with no exact integer lift.
 
 A group costs three eliminations, each keeping only the transforms it
-reads: the boundary kernel system (column transform), the relation
-system [nu | -de] of numerator against denominator generators (both,
-kept for reduce()), and the relations it yields (row transforms).
-reduce() may take any solution of the relation system: two differ by
-a relation, which moves coordinate k by a multiple of p^(f_k).
+reads: the boundary kernel system (column transform), its kernel, the
+numerator Z, whose row transform gives Z coordinates of its own, and
+the denominator in those coordinates (row transforms).  The boundary
+image and the torsion lattice lie in Z, and the noise block enters cut
+down to Z, so reduce() is a product, a divisibility test and a product.
 
 The eliminations read only the configuration, the degree's parity,
 the level and the model (moduli and sigma), so modules with equal
@@ -69,7 +69,7 @@ __all__ = [
 
 class _TateCore:
     """A Tate group's eliminations: its invariants, the generators' model
-    coordinates and what reduce() solves on.  Reads only the model."""
+    coordinates and the two transforms reduce() applies.  Reads only the model."""
 
     def __init__(self, module: PresentedModule, degree: int, level: int):
         cfg = module.cfg
@@ -87,10 +87,9 @@ class _TateCore:
         # rather than guesses.  Guard zero: pivot decisions at any
         # valuation below N are taken at face value, since the honesty
         # question is settled by the margin check, not by the pivot guard.
-        ctx = linalg.Context(cfg.p, cfg.precision, 0)
-        self.ctx = ctx
-        m = module.model_dim
-        step = cfg.p ** (cfg.n - level)
+        self.ctx = ctx = linalg.Context(cfg.p, cfg.precision, 0)
+        m, p = module.model_dim, cfg.p
+        step = p ** (cfg.n - level)
         tau_1 = (module.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, m)) % ctx.modulus
         nm = module.act_matrix(subgroup_norm(cfg, level))
         a_mat, b_mat = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
@@ -98,26 +97,31 @@ class _TateCore:
         # Elimination 1, the boundary kernel: only right and dvals are read.
         ksys = linalg.hstack(ctx, [a_mat, (-tc) % ctx.modulus])
         ksm = linalg.smith(ctx, ksys, rows=False)
-        floor = cfg.precision - max(ksm.dvals, default=0)
+        g = max(ksm.dvals, default=0)
+        floor = cfg.precision - g
         if floor < level:
             raise PrecisionExhausted(
-                f"boundary kernel has an elementary divisor of valuation "
-                f"{cfg.precision - floor} at precision {cfg.precision}, "
-                f"leaving no room below the noise floor for classes of "
-                f"order up to p^{level}; raise the working precision"
+                f"boundary kernel has an elementary divisor of valuation {g} "
+                f"at precision {cfg.precision}, leaving no room below the noise "
+                f"floor for classes of order up to p^{level}; needed N >= {g + level}"
             )
         ker = linalg.kernel_cols(ctx, ksys, sm=ksm)[:m, :]
-        noise = linalg.eye(ctx, m) * (cfg.p**floor)
-        nu = linalg.hstack(ctx, [ker, tc, b_mat])
-        de = linalg.hstack(ctx, [b_mat, tc, noise])
-        q = nu.shape[1]
-        # Elimination 2, the relation system: reduce() solves on it.
-        system = linalg.hstack(ctx, [nu, (-de) % ctx.modulus])
-        ssm = linalg.smith(ctx, system)
-        rel = linalg.kernel_cols(ctx, system, sm=ssm)[:q, :]
-        # Elimination 3, the relations: right is never read.
-        sm = linalg.smith(ctx, rel, cols=False)
-        if len(sm.dvals) < q:
+        # Elimination 2, the numerator Z = span(ker), with basis
+        # left_inv[:, i] p^(e_i), i < r.  coords() accepts Z + p^floor, as
+        # the noise block does; its divisors stay unreduced (p^N if g = 0).
+        zsm = linalg.smith(ctx, ker, cols=False)
+        e, r = zsm.dvals, len(zsm.dvals)
+        self.left, self.scale = zsm.left, np.array([p**v for v in e], dtype=ctx.dtype)[:, None]
+        tol = [p ** min(v, floor) for v in e] + [p**floor] * (m - r)
+        self.tolerance = np.array(tol, dtype=ctx.dtype)[:, None]
+        den = self.coords(linalg.hstack(ctx, [b_mat, tc]))
+        if den is None:
+            raise CyclomodError("denominator leaves the numerator: not a module at this precision")
+        # Elimination 3, the relations on Z's coordinates: the denominator,
+        # and the noise block cut down to Z, diag(p^max(0, floor - e_i)).
+        cut = linalg.mat(ctx, np.diag([p ** max(0, floor - v) for v in e]))
+        sm = linalg.smith(ctx, linalg.hstack(ctx, [den, cut]), cols=False)
+        if len(sm.dvals) < r:
             raise CyclomodError(
                 "cohomology subquotient came out infinite; this indicates "
                 "an internal inconsistency"
@@ -130,14 +134,18 @@ class _TateCore:
             )
         slots.sort(key=lambda kv: -kv[1])
         self.invariants = tuple(v for _, v in slots)
-        self.generator_coords = [
-            linalg.matmul(ctx, nu, sm.left_inv[:, k : k + 1]).ravel() for k, _ in slots
-        ]
-        self.slots = [k for k, _ in slots]
-        self.left = sm.left
-        self.system = system
-        self.system_smith = ssm
-        self.q = q
+        picked = [k for k, _ in slots]
+        self.rows = sm.left[picked, :]
+        gens = (sm.left_inv[:, picked] * self.scale) % ctx.modulus
+        self.generator_coords = list(linalg.matmul(ctx, zsm.left_inv[:, :r], gens).T)
+
+    def coords(self, x: np.ndarray) -> np.ndarray | None:
+        """(left x)_i / p^(e_i), the Z coordinates of the columns of x, or
+        None when a column is outside Z + p^floor."""
+        y = linalg.matmul(self.ctx, self.left, x)
+        if (y % self.tolerance).any():
+            return None
+        return y[: len(self.scale)] // self.scale
 
 
 # Every core alive in the process, keyed on what its eliminations read.
@@ -195,20 +203,14 @@ class TateGroup:
         if elt.module is not self.module:
             raise ValueError("element belongs to a different module")
         core = self._core
-        ctx = core.ctx
-        sol = linalg.solve(ctx, core.system, elt.column(), sm=core.system_smith)
-        if sol is None:
+        z = core.coords(elt.column())
+        if z is None:
             raise PreconditionViolated(
                 "element is not in the numerator of this cohomology group"
             )
-        # Solutions differ in z by members of rel, and row k of left @ rel
-        # is divisible by p^(f_k): any solution gives the same coordinates.
-        z = sol[: core.q, :]
-        y = linalg.matmul(ctx, core.left, z)
+        y = linalg.matmul(core.ctx, core.rows, z)
         p = self.module.cfg.p
-        return tuple(
-            int(y[k, 0]) % (p**f) for k, f in zip(core.slots, self.invariants)
-        )
+        return tuple(int(v) % p**f for v, f in zip(y[:, 0], self.invariants))
 
     def __repr__(self) -> str:
         p = self.module.cfg.p
@@ -293,11 +295,7 @@ class CohomMap:
 
     @classmethod
     def scalar(cls, group: TateGroup, c: int) -> "CohomMap":
-        size = len(group.invariants)
-        mat = np.zeros((size, size), dtype=np.int64)
-        for i in range(size):
-            mat[i, i] = c
-        return cls(group, group, mat)
+        return cls(group, group, c * np.eye(len(group.invariants), dtype=np.int64))
 
     def compose(self, inner: "CohomMap") -> "CohomMap":
         if inner.target is not self.source:

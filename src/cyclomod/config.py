@@ -11,7 +11,9 @@ genuinely occurs in the session is at most N - n - guard.  Under that
 assumption a nonzero residue whose valuation reaches the guard band
 [N - guard, N) can only arise from an ill-posed decision, and the linear
 algebra layer raises PrecisionExhausted instead of guessing.  Residues
-that are exactly zero mod p^N are treated as true zeros.
+that are exactly zero mod p^N are treated as true zeros.  A level-i Tate
+group needs N >= g + i, g the largest elementary divisor valuation of its
+boundary kernel; the theorem-1 chains have g = 2n at level n: N >= 3n.
 
 Instances are frozen; sharing them across threads is safe.
 """
@@ -44,13 +46,13 @@ def _is_prime(q: int) -> bool:
 def default_precision(n: int, guard: int = DEFAULT_GUARD) -> int:
     """Default working exponent N for a group of order p^n.
 
-    Leaves room for torsion up to p^8 on top of the n + guard + 1 floor,
-    which covers every desk-scale computation in the test suite.  A
-    nonempty CYCLOMOD_PRECISION overrides it and must be an integer.
+    The larger of n + guard + 8 (room for torsion up to p^8 above the
+    n + guard + 1 floor) and 3n, the Tate margin of the policy above.
+    A nonempty CYCLOMOD_PRECISION overrides it and must be an integer.
     """
     env = os.environ.get(PRECISION_ENV_VAR)
     if not env:
-        return n + guard + 8
+        return max(n + guard + 8, 3 * n)
     try:
         return int(env)
     except ValueError:

@@ -330,8 +330,7 @@ def krull_schmidt_note(module: PresentedModule) -> FreeSummandReport:
     while True:
         found = None
         for x in hom_space_basis(current, lam):
-            aug = [sum(int(x[r, c]) for r in range(x.shape[0])) % p for c in range(x.shape[1])]
-            if any(aug):
+            if (x.sum(axis=0) % p).any():
                 found = x
                 break
         if found is None:

@@ -13,19 +13,24 @@ pivot columns as they were found by a full reduction, column by column,
 act_matrix_by_powers, the group-ring action as it formed one sigma-power
 after another for each element, and solve_by_entry, the solvability test
 as it ran entry by entry (these two call the package's linear algebra),
-and synthesized_relations, the relation array of a derived module as it
-was built eagerly with the module.  herbrand_log predicts the ratio of Tate group orders from ranks alone.
+synthesized_relations, the relation array of a derived module as it
+was built eagerly with the module, and tate_core_by_relations, a Tate
+group's eliminations and reduce() as they ran on the relation system of
+numerator against denominator generators.  herbrand_log predicts the
+ratio of Tate group orders from ranks alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 
 from cyclomod import linalg
-from cyclomod.errors import PrecisionExhausted
+from cyclomod.arith import sigma_power, subgroup_norm
+from cyclomod.errors import CyclomodError, PrecisionExhausted
 from cyclomod.modules import _canon_rows, _coerce_ring
 
 
@@ -508,6 +513,59 @@ def synthesized_relations(cfg, k: int, model, proj, lift) -> np.ndarray:
     cols = np.concatenate([spell, act, *(t.reshape(-1, 1) for t in tors)], axis=1) % ctx.modulus
     rows = cols[:, (cols != 0).any(axis=0)].T
     return rows.reshape(len(rows), k, d)
+
+
+def tate_core_by_relations(module, degree, level):
+    """A Tate group by the relation system [nu | -de] of numerator
+    generators nu = [ker | T | B] against denominator generators
+    de = [B | T | p^floor I]: an object with invariants, generator_coords
+    (model coordinates), floor, ker, and reduce(column), the summand
+    coordinates of a model column, or None outside the numerator."""
+    cfg = module.cfg
+    ctx = linalg.Context(cfg.p, cfg.precision, 0)
+    m = module.model_dim
+    step = cfg.p ** (cfg.n - level)
+    tau_1 = (module.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, m)) % ctx.modulus
+    nm = module.act_matrix(subgroup_norm(cfg, level))
+    a_mat, b_mat = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
+    tc = module.torsion_column_matrix()
+    ksys = linalg.hstack(ctx, [a_mat, (-tc) % ctx.modulus])
+    ksm = linalg.smith(ctx, ksys, rows=False)
+    floor = cfg.precision - max(ksm.dvals, default=0)
+    if floor < level:
+        raise PrecisionExhausted(f"noise floor {floor} below level {level}")
+    ker = linalg.kernel_cols(ctx, ksys, sm=ksm)[:m, :]
+    noise = linalg.eye(ctx, m) * (cfg.p**floor)
+    nu = linalg.hstack(ctx, [ker, tc, b_mat])
+    de = linalg.hstack(ctx, [b_mat, tc, noise])
+    q = nu.shape[1]
+    system = linalg.hstack(ctx, [nu, (-de) % ctx.modulus])
+    ssm = linalg.smith(ctx, system)
+    rel = linalg.kernel_cols(ctx, system, sm=ssm)[:q, :]
+    sm = linalg.smith(ctx, rel, cols=False)
+    if len(sm.dvals) < q:
+        raise CyclomodError("cohomology subquotient came out infinite")
+    slots = [(k, v) for k, v in enumerate(sm.dvals) if v > 0]
+    if any(v > level for _, v in slots):
+        raise CyclomodError("cohomology invariant exceeds the subgroup order")
+    slots.sort(key=lambda kv: -kv[1])
+
+    def reduce(column):
+        sol = linalg.solve(ctx, system, column, sm=ssm)
+        if sol is None:
+            return None
+        y = linalg.matmul(ctx, sm.left, sol[:q, :])
+        return tuple(int(y[k, 0]) % cfg.p**v for k, v in slots)
+
+    return SimpleNamespace(
+        invariants=tuple(v for _, v in slots),
+        generator_coords=[
+            linalg.matmul(ctx, nu, sm.left_inv[:, k : k + 1]).ravel() for k, _ in slots
+        ],
+        floor=floor,
+        ker=ker,
+        reduce=reduce,
+    )
 
 
 def herbrand_log(module, level):

@@ -11,7 +11,7 @@ import pytest
 import cyclomod
 from cyclomod import fileio
 from cyclomod.cli import main
-from cyclomod.config import GroupConfig
+from cyclomod.config import DEFAULT_GUARD, GroupConfig, default_precision
 from cyclomod.constructions import (
     ExtensionData,
     Theorem1Input,
@@ -327,6 +327,15 @@ def test_unwritable_path_is_a_one_line_error(docs, capsys, argv):
     assert code == 1
     assert err.startswith("FileNotFoundError:") and err.count("\n") == 1
     assert str(missing) in err
+
+
+def test_default_precision_covers_the_tate_margin(monkeypatch):
+    # Theorem-1 chains need N >= 3n; n + guard + 8 is unchanged up to n = 5.
+    monkeypatch.delenv("CYCLOMOD_PRECISION", raising=False)
+    for n in range(11):
+        assert default_precision(n) >= 3 * n
+        if n <= 5:
+            assert default_precision(n) == n + DEFAULT_GUARD + 8
 
 
 @pytest.mark.parametrize("value", ["abc", "12.5"])

@@ -24,8 +24,9 @@ from cyclomod.constructions import (
     j_module,
     lemma2_pipeline,
     splitting_module,
+    theorem1_verify,
 )
-from cyclomod.errors import PrecisionExhausted, PreconditionViolated
+from cyclomod.errors import CyclomodError, PrecisionExhausted, PreconditionViolated
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
@@ -40,7 +41,12 @@ from cyclomod.modules import (
 )
 from cyclomod.suites import _pipeline_battery, random_presented_module
 
-from _oracles import FiniteModule, brute_tate_invariants, herbrand_log
+from _oracles import (
+    FiniteModule,
+    brute_tate_invariants,
+    herbrand_log,
+    tate_core_by_relations,
+)
 
 
 def cfg(p=3, n=1, precision=8):
@@ -254,10 +260,10 @@ def _check_reduce(mod, rng) -> int:
 @pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", REDUCE_GROUPS, ids=[f"p{p}n{n}" for p, n, _ in REDUCE_GROUPS])
 def test_reduce_is_linear_and_ignores_the_denominator(group):
-    # reduce() may take any particular solution of its relation system;
-    # these are the two facts that make that safe.  REDUCE_SEEDS seeded
-    # random modules per group, alone and plus a trivial Z/p^e (most
-    # random modules have trivial cohomology at p = 5 and 7).
+    # reduce() reads coordinates off any representative; these are the
+    # two facts that make that safe.  REDUCE_SEEDS seeded random modules
+    # per group, alone and plus a trivial Z/p^e (most random modules
+    # have trivial cohomology at p = 5 and 7).
     c = GroupConfig(*group)
     nontrivial = 0
     for seed in range(REDUCE_SEEDS):
@@ -352,14 +358,27 @@ def test_modules_with_one_model_share_the_eliminations(group, dtype, cores, smit
 
 
 def test_other_precision_or_guard_shares_nothing(cores, smith_calls):
-    mods = [_twins(GroupConfig(3, 1, 9))[0]]
-    _all_groups(mods[0])
+    # The group ring plus Z/3: its sigma is a permutation and a 1, the
+    # same bytes at 3^9 and 3^10, so the model is a module at both.
+    c9 = GroupConfig(3, 1, 9)
+    mods = [direct_sum(free_module(c9, 1), trivial_module(c9, 1)).module]
+    assert all(h.invariants == (1,) for h in _all_groups(mods[0]))
     for c in (GroupConfig(3, 1, 10), GroupConfig(3, 1, 9, guard=3)):
         smith_calls.clear()
         mods.append(PresentedModule._from_model(c, mods[0]._model))
+        assert mods[-1].sigma_matrix.tobytes() == mods[0].sigma_matrix.tobytes()
         _all_groups(mods[-1])
         assert smith_calls
     assert len(cores) == len(mods) * 2
+
+
+def test_a_model_that_is_no_module_is_refused():
+    # The ideal's sigma at 3^9 holds -1 as 3^9 - 1, so at 3^10 sigma^3
+    # is not 1 and the image of tau - 1 leaves ker(norm) in odd degree.
+    model = _twins(GroupConfig(3, 1, 9))[0]._model
+    module = PresentedModule._from_model(GroupConfig(3, 1, 10), model)
+    with pytest.raises(CyclomodError, match="not a module at this precision"):
+        tate(module, 1, 1)
 
 
 def test_shared_cores_die_with_their_modules(cores):
@@ -399,6 +418,69 @@ def test_tate_orders_match_the_herbrand_quotient(group):
             assert h0 - h1 == want, (i, level)
             checked, values = checked + 1, values | {want}
     assert checked >= 20 * (c.n + 1) and len(values) >= 3
+
+
+CORE_SEEDS = 25
+
+
+def _agrees_with_relation_system(module, degree, level, rng) -> bool:
+    """Compare tate() with the frozen relation-system core; True when the
+    group is nontrivial."""
+    c = module.cfg
+    try:
+        old = tate_core_by_relations(module, degree, level)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            tate(module, degree, level)
+        return False
+    new = tate(module, degree, level)
+    exps = new.invariants
+    assert exps == old.invariants
+    if not exps:
+        return False
+    # Column j of G is the new coordinates of old generator j.
+    old_gens = [module.element_from_model_coords(x) for x in old.generator_coords]
+    g = np.array([new.reduce(x) for x in old_gens], dtype=object).T
+    assert linalg.rank_mod_p(c.p, g) == len(exps)
+    ctx = linalg.Context(c.p, c.precision, 0)
+    for shift in (0, 0, 1, 1):
+        coeffs = linalg.mat(ctx, [rng.randrange(c.modulus) for _ in range(old.ker.shape[1])])
+        noise = [shift * c.p**old.floor * rng.randrange(c.modulus) for _ in range(module.model_dim)]
+        x = module.element_from_model_coords(
+            (linalg.matmul(ctx, old.ker, coeffs).ravel() + noise) % c.modulus
+        )
+        want = g.dot(np.array(old.reduce(x.column()), dtype=object))
+        assert new.reduce(x) == tuple(int(w) % c.p**f for w, f in zip(want, exps))
+    return True
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", HERBRAND_GROUPS)
+def test_tate_core_matches_the_relation_system(group):
+    # Against the frozen relation-system core: equal invariants (or both
+    # PrecisionExhausted), the old generators reduce to a change of
+    # generators G invertible mod p, and reduce() of random numerator
+    # elements, plain and shifted by p^floor v, agrees with the old
+    # coordinates up to G.  Each module carries a trivial Z/p^e summand.
+    c = GroupConfig(*group)
+    rng = random.Random(7 * sum(group))
+    nontrivial = 0
+    for i in range(CORE_SEEDS):
+        base = random_presented_module(c, rng)
+        module = direct_sum(base, trivial_module(c, 1 + i % 3)).module
+        for level in range(1, c.n + 1):
+            for degree in (0, 1):
+                nontrivial += _agrees_with_relation_system(module, degree, level, rng)
+    assert nontrivial >= CORE_SEEDS
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+def test_margin_error_names_the_precision_needed():
+    # C8 ideal: a level-3 boundary kernel has a divisor of valuation 6.
+    data = _pipeline_battery()[1]["ideal"]
+    with pytest.raises(PrecisionExhausted, match="needed N >= 9"):
+        theorem1_verify(data(GroupConfig(2, 3, 8)))
+    assert theorem1_verify(data(GroupConfig(2, 3, 9))).passed
 
 
 def test_theorem1_chain_matches_the_herbrand_quotient():

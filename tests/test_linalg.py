@@ -136,7 +136,7 @@ SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (5, 13), (7, 12)]
 def smith_cases(draw):
     p, precision = draw(st.sampled_from(SMITH_CONTEXTS))
     c = linalg.Context(p, precision, draw(st.integers(0, 4)))
-    # Small shapes, and wide ones like the Tate relation systems.
+    # Small shapes, and wide ones like the Tate coordinate relations.
     m, n = draw(
         st.one_of(
             st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -249,8 +249,8 @@ def _cohomology_maps(tmp_path):
 @pytest.mark.filterwarnings("ignore:p = 2")
 def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path):
     # Every elimination of three workload-shaped runs, including the wide
-    # Tate relation systems (m x about 6m) that the cases above never
-    # reach, must equal the full-width kernel bit for bit.  A fresh core
+    # Tate coordinate relations (r x (m + t + r), r <= m) that the cases
+    # above never reach, must equal the full-width kernel bit for bit.  A fresh core
     # table makes the Tate eliminations run here.
     monkeypatch.setattr(cohomology, "_cores", weakref.WeakValueDictionary())
     real = linalg.smith

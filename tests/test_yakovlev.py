@@ -1,5 +1,8 @@
 """Level diagrams: construction, axioms, and isomorphism decisions."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,7 +199,9 @@ def _reloaded(module, path):
 def test_found_isomorphism_commutes_with_every_map(tmp_path, p, n, precision):
     """ideal + Z/p + Z/p^2 against Z/p^2 + ideal + Z/p, through documents:
     the identity is rejected, and the level matrices the search returns
-    are checked here with plain numpy, square by square."""
+    are checked here with plain numpy, square by square.  They are the
+    levels of the CLI golden for the same comparison, which this checks
+    independently of the golden test."""
     c = GroupConfig(p, n, precision)
     ideal = augmentation_ideal(c)
     z1, z2 = trivial_module(c, 1), trivial_module(c, 2)
@@ -221,3 +226,5 @@ def test_found_isomorphism_commutes_with_every_map(tmp_path, p, n, precision):
     for i in range(n - 1):
         assert commutes(xs[i + 1], d1.alpha[i], d2.alpha[i], xs[i], d2.invariants[i + 1])
         assert commutes(xs[i], d1.beta[i], d2.beta[i], xs[i + 1], d2.invariants[i])
+    golden = Path(__file__).parent / "golden" / "cli" / f"p{p}n{n}.delta-compare-sums.json"
+    assert [x.tolist() for x in xs] == json.loads(golden.read_text())["levels"]
