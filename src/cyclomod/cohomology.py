@@ -119,7 +119,7 @@ class _TateCore:
             raise CyclomodError("denominator leaves the numerator: not a module at this precision")
         # Elimination 3, the relations on Z's coordinates: the denominator,
         # and the noise block cut down to Z, diag(p^max(0, floor - e_i)).
-        cut = linalg.mat(ctx, np.diag([p ** max(0, floor - v) for v in e]))
+        cut = np.diag(np.array([p ** max(0, floor - v) for v in e], dtype=ctx.dtype))
         sm = linalg.smith(ctx, linalg.hstack(ctx, [den, cut]), cols=False)
         if len(sm.dvals) < r:
             raise CyclomodError(

@@ -26,17 +26,17 @@ ceiling, and the guard band turns that into a PrecisionExhausted error
 instead of a silent misclassification.
 
 Arrays use int64 when p^N <= 2^31 and Python-integer object arrays
-otherwise (Context.dtype).  Below 2^31 every element-wise step stays
-below 2^62: a residue times a residue, as in the smith update q * row or
-the kernel_cols scaling, plus one more residue.  Only matrix products
-need more care, and matmul is the one routine that forms them.
+otherwise (Context.dtype).  Below 2^31 a residue times a residue, plus
+one more residue, stays below 2^62, and smith reduces its updates only as
+often as that bound needs.  Only matrix products need more care, and
+matmul is the one routine that forms them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -44,6 +44,7 @@ import numpy as np
 from .errors import NotAUnit, PrecisionExhausted
 
 _INT64_LIMIT = 1 << 31
+_LAZY_BOUND = 1 << 62
 _INT64_CHUNK = 2048
 # Above _ONE_LIMB_LIMIT, matmul cuts its right factor into _LIMB_BITS-bit limbs.
 _ONE_LIMB_LIMIT = 1 << 25
@@ -91,6 +92,8 @@ def valuation_int(ctx: Context, x: int) -> int:
 def mat(ctx: Context, data) -> np.ndarray:
     """Coerce to a canonical 2-d array with entries in [0, p^N)."""
     a = np.asarray(data)
+    if a.dtype.kind in "fu":  # Python integers of 2^63 or more: keep them exact
+        a = np.array(data, dtype=object)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
@@ -101,17 +104,11 @@ def mat(ctx: Context, data) -> np.ndarray:
 
 
 def zeros(ctx: Context, rows: int, cols: int) -> np.ndarray:
-    a = np.zeros((rows, cols), dtype=ctx.dtype)
-    if ctx.dtype is object:
-        a[:] = 0
-    return a
+    return np.zeros((rows, cols), dtype=ctx.dtype)
 
 
 def eye(ctx: Context, size: int) -> np.ndarray:
-    a = zeros(ctx, size, size)
-    for i in range(size):
-        a[i, i] = 1
-    return a
+    return np.eye(size, dtype=ctx.dtype)
 
 
 def matmul(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,13 +140,6 @@ def matmul(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalar_inverse(ctx: Context, x: int) -> int:
-    x = int(x) % ctx.modulus
-    if x % ctx.p == 0:
-        raise NotAUnit(f"{x} is divisible by {ctx.p}, not invertible")
-    return pow(x, -1, ctx.modulus)
-
-
 @dataclass
 class Smith:
     """Outcome of elimination: left @ original @ right is diagonal.
@@ -167,11 +157,23 @@ class Smith:
     dvals: list
     shape: tuple
 
-    def diagonal_matrix(self, ctx: Context) -> np.ndarray:
-        d = zeros(ctx, *self.shape)
-        for i, v in enumerate(self.dvals):
-            d[i, i] = ctx.p**v
-        return d
+
+@lru_cache(maxsize=None)
+def _indivisible(p: int, e: int, dtype):
+    """The element-wise test "d = p^e does not divide x", |x| <= 2^62 on int64.
+
+    Object arrays use %, p = 2 a bit mask, odd p a product on the uint64 view
+    (Granlund and Montgomery, PLDI 1994): with K = d ceil(2^62 / d), d divides
+    x + K in [0, 2^64) iff x d^-1 + K / d mod 2^64 is at most (2^64 - 1) // d.
+    """
+    d = p**e
+    if dtype is object:
+        return lambda x: x % d != 0
+    if p == 2:
+        return lambda x: (x & (d - 1)) != 0
+    inv, shift = np.uint64(pow(d, -1, 1 << 64)), np.uint64(-(-_LAZY_BOUND // d))
+    most = np.uint64((2**64 - 1) // d)
+    return lambda x: x.view(np.uint64) * inv + shift > most
 
 
 def _swap(x: np.ndarray, i: int, j: int) -> None:
@@ -207,6 +209,13 @@ def smith(
     W[k+1:, k+1:] is updated, by one rank-one row operation; no column
     operation is applied, as no later pivot reads row k.
 
+    q and the row multipliers are canonical, so after t updates entries
+    lie in (-t (p^N - 1)^2, p^N).  The live block is reduced when the next
+    update could pass -2^62 (after 1 update at 2^31, 3 at 5^13, about
+    48,000 at 5^10, every one on object arrays), and before it is tested
+    for zero or read.  The scan (_indivisible) needs no reduction, as
+    p^(pv+1) divides p^N.
+
     With P and Q the row and column permutations, L the stored lower
     part with the units on its diagonal and T the stored unit upper
     part, left = L^-1 P, so left_inv = P^T L is read off without an
@@ -221,20 +230,25 @@ def smith(
         a = np.concatenate([a, eye(ctx, m)], axis=1)
     mod, p = ctx.modulus, ctx.p
     top = ctx.precision if ceiling is None else ceiling
+    # Updates between reductions of the live block (1 above 2^31).
+    lazy = max(1, (_LAZY_BOUND - mod) // max(mod - 1, 1) ** 2)
     row_of, col_of = list(range(m)), list(range(n))
     dvals: list = []
-    k = pv = 0
+    k = pv = pending = 0
     while k < min(m, n):
         # Escalate pv until some live entry has valuation <= pv.  Valuations
         # never decrease under the row operations below, so the scan can
         # resume from the previous pivot's valuation.
         while pv < top:
-            nz = (a[k:, k:n] % (p ** (pv + 1))) != 0
+            nz = _indivisible(p, pv + 1, ctx.dtype)(a[k:, k:n])
             i, j = divmod(int(nz.argmax()), n - k)
             if nz[i, j]:
                 break
+            if pending:
+                a[k:, k:] %= mod
+                pending = 0
             # A zero block has no pivot below the ceiling: stop at once.
-            pv = pv + 1 if a[k:, k:n].any() else top
+            pv = pv + 1 if np.count_nonzero(a[k:, k:n]) else top
         else:
             break
         if pv >= ctx.guard_floor:
@@ -249,24 +263,30 @@ def smith(
         if j != k:
             _swap(a[:, :n].T, k, j)
             col_of[k], col_of[j] = col_of[j], col_of[k]
+        if pending:
+            a[k, k:] %= mod
+            a[k + 1 :, k] %= mod
         pk = p**pv
         unit = int(a[k, k]) // pk
         if unit != 1:
-            a[k, k + 1 :] = (a[k, k + 1 :] * scalar_inverse(ctx, unit)) % mod
+            a[k, k + 1 :] = (a[k, k + 1 :] * pow(unit, -1, mod)) % mod
         a[k, k] = unit
-        q = a[k + 1 :, k] // pk
-        if q.any():
+        q = a[k + 1 :, k] // pk if pv else a[k + 1 :, k]
+        if np.count_nonzero(q):
             live = a[k + 1 :, k + 1 :]
             live -= q[:, None] * a[k, k + 1 :]
-            live %= mod
-            a[k + 1 :, k] = q
+            pending = (pending + 1) % lazy
+            if not pending:
+                live %= mod
+            if pv:
+                a[k + 1 :, k] = q
         if cols and pv:
             a[k, k + 1 : n] //= pk
         dvals.append(pv)
         k += 1
     u = uinv = v_ = None
     if rows:
-        u = a[:, n:].copy()
+        u = a[:, n:] % mod if pending else a[:, n:].copy()
         lower = eye(ctx, m)
         lower[:, :k] = np.tril(a[:, :k])
         uinv = np.empty_like(lower)

@@ -575,8 +575,7 @@ def _centered_object(a, modulus: int) -> np.ndarray:
     permutation models) recover their exact values.
     """
     out = np.array(a, dtype=object)
-    if out.size:
-        out = out - modulus * (out > modulus // 2)
+    out[out > modulus // 2] -= modulus
     return out
 
 

@@ -17,7 +17,8 @@ synthesized_relations, the relation array of a derived module as it
 was built eagerly with the module, and tate_core_by_relations, a Tate
 group's eliminations and reduce() as they ran on the relation system of
 numerator against denominator generators.  herbrand_log predicts the
-ratio of Tate group orders from ranks alone.
+ratio of Tate group orders from ranks alone, and diagonal_matrix writes
+out the diagonal a Smith form stands for.
 """
 
 from __future__ import annotations
@@ -396,6 +397,15 @@ def cocycle_first_failure(modulus: int, sigma, moduli, table):
                 if any(x % modulus % q for x, q in zip(lhs, moduli)):
                     return (a, b, c)
     return None
+
+
+def diagonal_matrix(ctx, sm):
+    """The diagonal matrix left @ A @ right of a Smith form: p^dvals on
+    the diagonal, then zeros."""
+    d = linalg.zeros(ctx, *sm.shape)
+    for i, v in enumerate(sm.dvals):
+        d[i, i] = ctx.p**v
+    return d
 
 
 def kernel_cols_by_column(ctx, a, sm=None):

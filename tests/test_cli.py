@@ -354,15 +354,26 @@ def test_empty_env_var_counts_as_unset(capsys, monkeypatch):
     assert "N=11" in json.loads(out)["config"]
 
 
-def test_module_entry_point():
+def _run_module(module, *argv):
     # The child imports the package the tests import, installed or not.
     src = str(Path(cyclomod.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclomod.cli", "--format", "machine", "verify", "prop4"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _run_module("cyclomod.cli", "--format", "machine", "verify", "prop4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_package_entry_point():
+    # python -m cyclomod runs cli.main and exits with its code.
+    proc = _run_module("cyclomod", "verify", "no-such-suite")
+    assert proc.returncode == 1
+    assert "no-such-suite" in proc.stderr

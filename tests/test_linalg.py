@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cyclomod import cli, cohomology, linalg
 from cyclomod.config import GroupConfig, IsoSearchConfig
-from cyclomod.constructions import Theorem1Input, j_module, theorem1_verify
+from cyclomod.constructions import Theorem1Input, j_module, lemma3_resolution, theorem1_verify
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 from cyclomod.fileio import save_file
 from cyclomod.modules import augmentation_ideal, direct_sum, free_module, trivial_module
@@ -21,6 +21,7 @@ from cyclomod.suites import random_presented_module
 from _oracles import (
     GuardBand,
     cokernel_valuations_mod_pN,
+    diagonal_matrix,
     kernel_cols_by_column,
     pivot_cols_by_column,
     smith_full_width,
@@ -48,7 +49,7 @@ def test_smith_reconstructs_diagonal():
         a = random_matrix(c, rng, m, n)
         sm = linalg.smith(c, a)
         left_a_right = linalg.matmul(c, linalg.matmul(c, sm.left, a), sm.right)
-        assert np.array_equal(left_a_right, sm.diagonal_matrix(c))
+        assert np.array_equal(left_a_right, diagonal_matrix(c, sm))
         assert sm.dvals == sorted(sm.dvals)
         assert all(v < c.guard_floor for v in sm.dvals)
 
@@ -85,7 +86,7 @@ def test_smith_object_dtype_path():
     a = random_matrix(c, rng, 3, 4)
     sm = linalg.smith(c, a)
     left_a_right = linalg.matmul(c, linalg.matmul(c, sm.left, a), sm.right)
-    assert np.array_equal(left_a_right, sm.diagonal_matrix(c))
+    assert np.array_equal(left_a_right, diagonal_matrix(c, sm))
 
 
 def test_smith_guard_band_raises():
@@ -128,8 +129,9 @@ def test_context_cached_values_leave_equality_and_hash_alone():
 
 
 # (p, N): three int64 contexts, 5^13, whose products are cut into limbs,
-# and 7^12, which takes the object path.
-SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (5, 13), (7, 12)]
+# 7^12, which takes the object path, and 2^31 and 3^19, whose live
+# blocks may take only 1 and 3 updates between reductions.
+SMITH_CONTEXTS = [(3, 8), (2, 12), (5, 6), (5, 13), (7, 12), (2, 31), (3, 19)]
 
 
 @st.composite
@@ -153,6 +155,52 @@ def smith_cases(draw):
     a = linalg.mat(c, np.array(flat, dtype=object).reshape(m, n))
     ceiling = draw(st.one_of(st.none(), st.integers(1, precision)))
     return c, a, draw(st.booleans()), draw(st.booleans()), ceiling
+
+
+# The largest N with p^N <= 2^31: the int64 moduli smith meets.
+INT64_PRECISIONS = {2: 31, 3: 19, 5: 13, 7: 11}
+
+
+@settings(max_examples=50, derandomize=True)
+@given(st.sampled_from(sorted(INT64_PRECISIONS)), st.data())
+def test_indivisible_matches_the_remainder(p, data):
+    # Lazily reduced int64 entries, anywhere in [-2^62, 2^62]: 0, the
+    # ends, multiples of p^e and their neighbours, for every e <= N, on
+    # a strided view as smith scans one.
+    bound = linalg._LAZY_BOUND
+    d = p ** data.draw(st.integers(0, INT64_PRECISIONS[p]))
+    multiple = st.integers(-(bound // d), bound // d).map(lambda k: k * d)
+    near = st.tuples(multiple, st.integers(-2, 2)).map(lambda t: max(-bound, min(bound, sum(t))))
+    edge = st.sampled_from([0, 1, -1, bound, -bound, bound - 1, 1 - bound])
+    entry = st.one_of(edge, multiple, near, st.integers(-bound, bound))
+    flat = data.draw(st.lists(entry, min_size=2, max_size=64))
+    x = np.array(flat + flat, dtype=np.int64).reshape(2, -1)[:, ::2]
+    for e in range(INT64_PRECISIONS[p] + 1):
+        got = linalg._indivisible(p, e, np.int64)(x)
+        assert got.dtype == bool and np.array_equal(got, x % p**e != 0)
+
+
+@pytest.mark.parametrize("p, precision", sorted(INT64_PRECISIONS.items()))
+def test_lazy_entries_stay_within_the_bound(monkeypatch, p, precision):
+    # A = L U with every multiplier of L and U equal to -1, so each update
+    # subtracts (p^N - 1)^2 from every live entry, the most it can: the
+    # scans see the lowest values the reduction interval lets through.
+    c = linalg.Context(p, precision, 2)
+    real = linalg._indivisible
+
+    def bounded(p_, e, dtype):
+        test = real(p_, e, dtype)
+
+        def checked(x):
+            assert x.min() >= -linalg._LAZY_BOUND and x.max() <= linalg._LAZY_BOUND
+            return test(x)
+
+        return checked
+
+    monkeypatch.setattr(linalg, "_indivisible", bounded)
+    a = linalg.mat(c, [[min(i, j) + (1 if i == j else -1) for j in range(8)] for i in range(8)])
+    sm = _smith_against_full_width(c, a, True, True, None)
+    assert sm.dvals == [0] * 8
 
 
 def _smith_against_full_width(c, a, rows, cols, ceiling, smith=linalg.smith):
@@ -258,16 +306,21 @@ def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path)
 
     def checked(c, a, rows=True, cols=True, ceiling=None):
         a = linalg.mat(c, a)
-        shapes.append((c.dtype, a.shape))
+        shapes.append((c.dtype, a.shape, ceiling))
         return _smith_against_full_width(c, a, rows, cols, ceiling, smith=real)
 
     monkeypatch.setattr(linalg, "smith", checked)
     _theorem1_chain((3, 2, 12))
     _theorem1_chain((2, 3, 12))
     _cohomology_maps(tmp_path)
+    # The lemma-3 resolution at C25: the 25 x 650 and 50 x 625 orbit
+    # lattices, and the raised-precision calls with a ceiling.
+    lemma3_resolution(GroupConfig(5, 2, 10), 1)
     assert len(shapes) > 300
-    assert any(dtype is object for dtype, _ in shapes)
-    assert any(n >= 5 * m > 0 for _, (m, n) in shapes)
+    assert any(dtype is object for dtype, _, _ in shapes)
+    assert any(n >= 5 * m > 0 for _, (m, n), _ in shapes)
+    assert {(25, 650), (50, 625)} <= {shape for _, shape, _ in shapes}
+    assert any(ceiling is not None for _, _, ceiling in shapes)
 
 
 def test_solve_roundtrip_and_unsolvable():
@@ -332,6 +385,13 @@ def test_mat_reduces_python_integers_before_the_int64_cast():
         assert linalg.smith(c, [[10**30, 1], [2, 3]]).dvals == [0, 0]
     b = np.array([[7, -1]], dtype=np.int64)
     assert linalg.mat(linalg.Context(5, 12, 2), b).tolist() == [[7, 5**12 - 1]]
+    # np.asarray reads Python integers in [2^63, 2^64) as float64.
+    rows = [[2**63, 1], [2**64 - 1, -1]]
+    for precision in (12, 30):
+        c = linalg.Context(5, precision, 2)
+        a = linalg.mat(c, rows)
+        assert a.dtype == c.dtype
+        assert a.tolist() == [[x % c.modulus for x in row] for row in rows]
 
 
 def test_kernel_cols_spans_congruence_kernel():

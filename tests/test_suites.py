@@ -5,6 +5,8 @@ J-family battery also runs at C25 with e <= 1.  The full default
 batteries (ALL_SUITES at default settings) are not run here.
 """
 
+import pytest
+
 from cyclomod import fileio
 from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import j_module
@@ -73,6 +75,19 @@ def test_lemma3_reduced_config():
 
 def test_lemma3_at_order_25():
     report = suite_lemma3(configs=(GroupConfig(5, 2, 10),), e_max=1)
+    assert report.status == "pass"
+    assert report.counts["pass"] == len(report.checks)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize(
+    "p, n, precision",
+    [(3, 1, 40), (3, 1, 41), (3, 1, 42), (3, 1, 43), (3, 1, 44), (2, 1, 64), (5, 1, 28)],
+)
+def test_lemma3_with_moduli_past_int64(p, n, precision):
+    # p^N of 2^63 or more: object arrays whose Python integers must not
+    # pass through a float64, uint64 or C long on the way.
+    report = suite_lemma3(configs=(GroupConfig(p, n, precision),))
     assert report.status == "pass"
     assert report.counts["pass"] == len(report.checks)
 
