@@ -25,12 +25,16 @@ image and the torsion lattice lie in Z, and the noise block enters cut
 down to Z, so reduce() is a product, a divisibility test and a product.
 
 The eliminations read only the configuration, the degree's parity,
-the level and the model (moduli and sigma), so modules with equal
-models share them: a weak table keyed on that content hands each new
-group the eliminations of any live group with the same key, and an
-entry goes when the last module using it does.  Groups themselves stay
-per module, so generators belong to their module and maps between
-groups still compare groups by identity.
+the level and the model (moduli and sigma).  A model that splits into
+contiguous diagonal blocks, as direct_sum builds them, has a block
+diagonal kernel system, so its g is the largest over the blocks and
+its group is the sum of the blocks' groups, each taken at the whole
+model's floor N - g.  So eliminations are shared per block: a weak
+table keyed on a block's content hands each new group the first two
+eliminations of any live block with that key, and the third of any
+with that key and floor; an entry goes when the last module using it
+does.  Groups themselves stay per module, so generators belong to
+their module and maps between groups still compare groups by identity.
 
 Restriction and corestriction are realized on representatives.  With
 nu(j, i) the sum of sigma^(t * p^(n-j)) over 0 <= t < p^(j-i), i.e. the
@@ -52,7 +56,7 @@ from . import linalg
 from .arith import GroupRingElement, sigma_power, subgroup_norm
 from .config import GroupConfig
 from .errors import CyclomodError, PrecisionExhausted, PreconditionViolated
-from .modules import ElementVector, ModuleHom, PresentedModule
+from .modules import ElementVector, ModuleHom, PresentedModule, _torsion_columns
 
 __all__ = [
     "TateGroup",
@@ -67,54 +71,36 @@ __all__ = [
 ]
 
 
-class _TateCore:
-    """A Tate group's eliminations: its invariants, the generators' model
-    coordinates and the two transforms reduce() applies.  Reads only the model."""
+class _Boundary:
+    """Eliminations 1 and 2 of one diagonal block of a model: the largest
+    divisor g of its boundary kernel system, and the Smith form zsm of its
+    numerator Z = span(ker), whose basis is left_inv[:, i] p^(e_i), i < r."""
 
-    def __init__(self, module: PresentedModule, degree: int, level: int):
-        cfg = module.cfg
-        # Model matrices are canonical residues mod p^N, so an entry of
-        # true valuation >= N is indistinguishable from zero and every
-        # lattice below is a congruence lattice.  The subquotient is exact
-        # anyway, for two reasons.  The congruence kernel of the boundary
-        # operator differs from the true kernel only in directions scaled
-        # by p^(N-g), where g is the largest elementary divisor of the
-        # kernel system; a p^(N-g) identity block in the denominator
-        # swallows those shadows.  And that block cannot kill a genuine
-        # class while N - g >= level, because denominator columns lie in
-        # the (saturated) true kernel and every class already has order
-        # dividing p^level.  Below that margin the computation refuses
-        # rather than guesses.  Guard zero: pivot decisions at any
-        # valuation below N are taken at face value, since the honesty
-        # question is settled by the margin check, not by the pivot guard.
-        self.ctx = ctx = linalg.Context(cfg.p, cfg.precision, 0)
-        m, p = module.model_dim, cfg.p
-        step = p ** (cfg.n - level)
-        tau_1 = (module.act_matrix(sigma_power(cfg, step)) - linalg.eye(ctx, m)) % ctx.modulus
-        nm = module.act_matrix(subgroup_norm(cfg, level))
-        a_mat, b_mat = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
-        tc = module.torsion_column_matrix()
+    def __init__(self, ctx: linalg.Context, a_mat, b_mat, tc):
+        self.ctx, self.den = ctx, linalg.hstack(ctx, [b_mat, tc])
         # Elimination 1, the boundary kernel: only right and dvals are read.
         ksys = linalg.hstack(ctx, [a_mat, (-tc) % ctx.modulus])
         ksm = linalg.smith(ctx, ksys, rows=False)
-        g = max(ksm.dvals, default=0)
-        floor = cfg.precision - g
-        if floor < level:
-            raise PrecisionExhausted(
-                f"boundary kernel has an elementary divisor of valuation {g} "
-                f"at precision {cfg.precision}, leaving no room below the noise "
-                f"floor for classes of order up to p^{level}; needed N >= {g + level}"
-            )
-        ker = linalg.kernel_cols(ctx, ksys, sm=ksm)[:m, :]
-        # Elimination 2, the numerator Z = span(ker), with basis
-        # left_inv[:, i] p^(e_i), i < r.  coords() accepts Z + p^floor, as
-        # the noise block does; its divisors stay unreduced (p^N if g = 0).
-        zsm = linalg.smith(ctx, ker, cols=False)
+        self.g = max(ksm.dvals, default=0)
+        ker = linalg.kernel_cols(ctx, ksys, sm=ksm)[: len(b_mat), :]
+        self.zsm = linalg.smith(ctx, ker, cols=False)
+
+
+class _TateCore:
+    """A Tate group of one block at a given floor: its invariants, the
+    generators' model coordinates and the two transforms reduce() applies."""
+
+    def __init__(self, bd: _Boundary, floor: int, level: int):
+        # The boundary stays in the shared table while this core lives.
+        self.boundary, self.ctx = bd, bd.ctx
+        ctx, zsm, m, p = bd.ctx, bd.zsm, len(bd.den), bd.ctx.p
         e, r = zsm.dvals, len(zsm.dvals)
+        # coords() accepts Z + p^floor, as the noise block does; Z's
+        # divisors stay unreduced (p^N if g = 0).
         self.left, self.scale = zsm.left, np.array([p**v for v in e], dtype=ctx.dtype)[:, None]
         tol = [p ** min(v, floor) for v in e] + [p**floor] * (m - r)
         self.tolerance = np.array(tol, dtype=ctx.dtype)[:, None]
-        den = self.coords(linalg.hstack(ctx, [b_mat, tc]))
+        den = self.coords(bd.den)
         if den is None:
             raise CyclomodError("denominator leaves the numerator: not a module at this precision")
         # Elimination 3, the relations on Z's coordinates: the denominator,
@@ -148,20 +134,78 @@ class _TateCore:
         return y[: len(self.scale)] // self.scale
 
 
-# Every core alive in the process, keyed on what its eliminations read.
+class _SumCore:
+    """The core of a block-diagonal model from one core per block:
+    invariants merged largest first, each generator its block's padded
+    with zeros, coords() block by block and rows block diagonal."""
+
+    def __init__(self, parts, bounds):
+        self.parts, self.bounds, self.ctx = parts, bounds, parts[0].ctx
+        slots = sorted((-v, b, k) for b, c in enumerate(parts) for k, v in enumerate(c.invariants))
+        self.invariants = tuple(-v for v, _, _ in slots)
+        offsets = np.cumsum([0] + [len(c.scale) for c in parts])
+        self.rows = linalg.zeros(self.ctx, len(slots), offsets[-1])
+        self.generator_coords = [np.zeros(bounds[-1], dtype=self.ctx.dtype) for _ in slots]
+        for i, (_, b, k) in enumerate(slots):
+            self.rows[i, offsets[b] : offsets[b + 1]] = parts[b].rows[k]
+            self.generator_coords[i][bounds[b] : bounds[b + 1]] = parts[b].generator_coords[k]
+
+    def coords(self, x: np.ndarray) -> np.ndarray | None:
+        zs = [c.coords(x[lo:hi]) for c, lo, hi in zip(self.parts, self.bounds, self.bounds[1:])]
+        return None if any(z is None for z in zs) else np.concatenate(zs)
+
+
+# Every boundary and core alive in the process, keyed on what they read.
 _cores = weakref.WeakValueDictionary()
 
 
-def _core(module: PresentedModule, degree: int, level: int) -> _TateCore:
-    sigma = module.sigma_matrix
-    # tobytes() of an object array holds pointers, not the integers.
-    content = sigma.tobytes() if sigma.dtype == np.int64 else tuple(int(x) for x in sigma.ravel())
-    key = (module.cfg, degree, level, module.moduli, content)
-    core = _cores.get(key)
-    if core is None:
-        core = _TateCore(module, degree, level)
-        _cores[key] = core
-    return core
+def _block_bounds(sigma: np.ndarray) -> list:
+    """0 and the end of each contiguous diagonal block of sigma, finest first."""
+    m = len(sigma)
+    linked = (sigma != 0) | (sigma.T != 0) | np.eye(m, dtype=bool)
+    reach = np.maximum.accumulate((linked * np.arange(m)).max(axis=1, initial=0))
+    return [0, *((np.flatnonzero(reach == np.arange(m)) + 1).tolist() or [0])]
+
+
+def _core(module: PresentedModule, degree: int, level: int):
+    cfg, sigma, moduli = module.cfg, module.sigma_matrix, module.moduli
+    # Guard zero: pivot decisions at any valuation below N are taken at
+    # face value: the margin check N - g >= level (module docstring), not
+    # the pivot guard, settles honesty.  A block-diagonal model's kernel
+    # system is block diagonal too, so g is the largest over the blocks,
+    # and every block's core is taken at that one floor.
+    ctx = linalg.Context(cfg.p, cfg.precision, 0)
+    bounds, ops, bds = _block_bounds(sigma), (), []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = sigma[lo:hi, lo:hi]
+        # tobytes() of an object array holds pointers, not the integers.
+        content = block.tobytes() if block.dtype == np.int64 else tuple(map(int, block.ravel()))
+        key = (cfg, degree, level, moduli[lo:hi], content)
+        bd = _cores.get(key)
+        if bd is None:
+            if not ops:  # the boundary pair on the whole model, sliced per block
+                tau_1 = module.act_matrix(sigma_power(cfg, cfg.p ** (cfg.n - level)))
+                tau_1 = (tau_1 - linalg.eye(ctx, len(sigma))) % ctx.modulus
+                nm = module.act_matrix(subgroup_norm(cfg, level))
+                ops = (tau_1, nm) if degree % 2 == 0 else (nm, tau_1)
+            a_mat, b_mat = (x[lo:hi, lo:hi] for x in ops)
+            bd = _cores[key] = _Boundary(ctx, a_mat, b_mat, _torsion_columns(ctx, moduli[lo:hi]))
+        bds.append((key, bd))
+    g = max(bd.g for _, bd in bds)
+    floor = cfg.precision - g
+    if floor < level:
+        raise PrecisionExhausted(
+            f"boundary kernel has an elementary divisor of valuation {g} "
+            f"at precision {cfg.precision}, leaving no room below the noise "
+            f"floor for classes of order up to p^{level}; needed N >= {g + level}"
+        )
+    parts = []
+    for key, bd in bds:
+        core = _cores.get((key, floor))
+        if core is None:
+            core = _cores[key, floor] = _TateCore(bd, floor, level)
+        parts.append(core)
+    return parts[0] if len(parts) == 1 else _SumCore(parts, bounds)
 
 
 class TateGroup:
@@ -171,7 +215,7 @@ class TateGroup:
     largest first; generators[k] is a module element representing the
     k-th summand's generator; reduce() rewrites any representative that
     lies in the numerator as coordinates with respect to the summands.
-    The eliminations live in a core shared with every module of equal
+    The eliminations live in cores shared per diagonal block of the
     model; the group binds the generators to its own module.
     """
 
@@ -245,8 +289,9 @@ def tate(module: PresentedModule, degree: int, level: int | None = None) -> Tate
     Cohomology of a cyclic group is periodic with period 2, so only the
     parity of the degree matters; results are cached per module, which
     also makes repeated map constructions composable.  The eliminations
-    behind a group are shared weakly with every live module whose model
-    is equal, so a second module with the same model eliminates nothing.
+    behind a group are shared weakly per diagonal block of the model, at
+    the whole model's floor, so a second module with the same model
+    eliminates nothing and a direct sum only its blocks not seen yet.
     """
     if level is None:
         level = module.cfg.n

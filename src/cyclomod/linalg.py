@@ -34,10 +34,11 @@ matmul is the one routine that forms them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -430,13 +431,14 @@ def invert(ctx: Context, a, sm: Smith | None = None) -> np.ndarray:
     return matmul(ctx, sm.right, sm.left)
 
 
-def pivot_cols_mod_p(p: int, a: np.ndarray) -> list:
-    """Pivot columns, left to right, of the row echelon form of A mod p."""
+def pivot_cols_mod_p(p: int, a: np.ndarray, limit=math.inf) -> list:
+    """Pivot columns, left to right, of the row echelon form of A mod p,
+    up to the first limit of them."""
     b = (np.asarray(a) % p).astype(np.int64, copy=False)
     m, n = b.shape
     pivots: list = []
     col = 0
-    while len(pivots) < m:
+    while len(pivots) < min(m, limit):
         rank = len(pivots)
         hits = np.flatnonzero(b[rank:, col:].any(axis=0))
         if not hits.size:
@@ -479,38 +481,42 @@ def search_invertible(members, modulus: int, p: int, verify, search, first=()):
     Whether some member of the span is invertible depends only on its
     residue mod p (Nakayama's lemma over the local ring Zp[G]), so the
     mod-p span decides the question, and members that are zero mod p
-    are dropped before any candidate is tried.  Candidates, in this
-    order: first (e.g. the identity), each remaining member, then every
-    nonzero combination with coefficients in [0, p) of the members that
-    are independent mod p, when there are at most
-    search.enumeration_bound of them; otherwise search.max_samples
-    seeded combinations that draw one coefficient in [0, modulus) per
-    remaining member, in order.
+    are dropped before any candidate is tried.  So c x + p y passes
+    exactly when x does, for a unit c and y in the span: it lies in the
+    span, so every linear check holds for it, and its residue c (x mod
+    p) is invertible exactly when that of x is.  Candidates, in order:
+    first (e.g. the identity); then, when at most
+    search.enumeration_bound members are independent mod p (an
+    elimination that stops one pivot past the bound tells), each member
+    and every combination of those with coefficients in [0, p) whose
+    first nonzero coefficient is 1 (in product order it precedes its
+    multiples, so the first success is a full enumeration's); past the
+    bound, search.max_samples seeded combinations drawing one
+    coefficient in [0, modulus) per member, in order, then each member.
+    When an isomorphism exists, random members of the span are units
+    with good probability (the MeatAxe argument), so samples go first.
     """
     members = [x for x in members if (x % p).any()]
-    for x in (*first, *members):
+    for x in first:
         found = verify(x)
         if found is not None:
             return found
-    pivots = []
-    if members:
-        pivots = pivot_cols_mod_p(p, np.stack([np.ravel(x) for x in members], axis=1))
+    span = np.stack([np.ravel(x) for x in members], axis=1) if members else np.zeros((0, 0))
+    pivots = pivot_cols_mod_p(p, span, search.enumeration_bound + 1)
+    ctx = Context(p, round(math.log(modulus, p)), 0)
     enumerated = len(pivots) <= search.enumeration_bound
     if enumerated:
-        span = [members[j] for j in pivots]
-        combos = (c for c in product(range(p), repeat=len(span)) if any(c))
+        cols = pivots
+        combos = (c for c in product(range(p), repeat=len(cols)) if next(filter(None, c), 0) == 1)
     else:
-        span = members
-        rng = random.Random(search.seed)
-        combos = ([rng.randrange(modulus) for _ in span] for _ in range(search.max_samples))
-    for coeffs in combos:
-        x = 0
-        for c, member in zip(coeffs, span):
-            x = (x + c * member) % modulus
+        cols, rng = slice(None), random.Random(search.seed)
+        combos = ([rng.randrange(modulus) for _ in members] for _ in range(search.max_samples))
+    combined = (matmul(ctx, span[:, cols], mat(ctx, c)).reshape(members[0].shape) for c in combos)
+    for x in chain(members, combined) if enumerated else chain(combined, members):
         found = verify(x)
         if found is not None:
             return found
-    return SearchMiss(len(pivots), enumerated)
+    return SearchMiss(len(pivots) if enumerated else rank_mod_p(p, span), enumerated)
 
 
 def is_zero(a: np.ndarray) -> bool:

@@ -222,6 +222,11 @@ def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
             f"cohomology differs at level {level}, degree {degree}: "
             f"{t1.invariants} vs {t2.invariants}"
         )
+    return _search_iso(m1, m2, search)
+
+
+def _search_iso(m1: PresentedModule, m2: PresentedModule, search):
+    """The search part of modules_isomorphic, without the screens."""
     m = m1.model_dim
     if m == 0:
         empty = linalg.zeros(m1.ctx, 0, 0)
@@ -233,14 +238,14 @@ def modules_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
         return NotIsomorphic("hom space is zero")
     first = (linalg.eye(m1.ctx, m),) if m == m2.model_dim else ()
     found = linalg.search_invertible(
-        basis, m2.ctx.modulus, cfg.p, lambda x: _verify_iso(m1, m2, x), search, first
+        basis, m2.ctx.modulus, m1.cfg.p, lambda x: _verify_iso(m1, m2, x), search, first
     )
     if not isinstance(found, linalg.SearchMiss):
         return found
     if found.enumerated:
         return NotIsomorphic(
             "no member of the hom space is invertible mod p "
-            f"(enumerated all {cfg.p}**{found.rank} mod-p classes)"
+            f"(enumerated all {m1.cfg.p}**{found.rank} mod-p classes)"
         )
     return Undecided(
         f"no isomorphism found in {search.max_samples} samples over a hom "
@@ -259,7 +264,9 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
 
     Padding cannot change cohomology or the rank mod the group order,
     so mismatches there are definitive negatives.  Otherwise the
-    minimal compatible padding is tested with modules_isomorphic; by
+    minimal compatible padding goes to the search of modules_isomorphic
+    without its screens: the padded modules are torsion-free of equal
+    rank, and their Tate groups are those compared above.  By
     Krull-Schmidt cancellation its definitive answers (either way)
     transfer to all larger paddings.
     """
@@ -299,7 +306,7 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
         )
     last = None
     for a, b in pads:
-        res = modules_isomorphic(_padded(m1, a), _padded(m2, b), search)
+        res = _search_iso(_padded(m1, a), _padded(m2, b), search)
         if isinstance(res, Iso):
             return StableIso(a, b, res)
         if isinstance(res, NotIsomorphic):

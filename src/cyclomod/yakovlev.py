@@ -24,7 +24,9 @@ congruences in the row-major entries of the Y_i (row r holds mod p^(f'_r)
 and is scaled to the common working modulus).  The kernel of the stacked
 blocks is searched for an invertible family with the search
 linalg.search_invertible shares with the module oracle, and each
-candidate is checked again square by square.
+candidate is checked again square by square.  That check passes for
+c y + p y' (c a unit, y' in the kernel) exactly when it does for y: the
+squares are linear, and each X_i mod p is only scaled by c.
 """
 
 from __future__ import annotations

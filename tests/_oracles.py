@@ -16,13 +16,16 @@ as it ran entry by entry (these two call the package's linear algebra),
 synthesized_relations, the relation array of a derived module as it
 was built eagerly with the module, and tate_core_by_relations, a Tate
 group's eliminations and reduce() as they ran on the relation system of
-numerator against denominator generators.  herbrand_log predicts the
-ratio of Tate group orders from ranks alone, and diagonal_matrix writes
-out the diagonal a Smith form stands for.
+numerator against denominator generators, and search_invertible_in_full,
+the search as it tried every nonzero mod-p combination of an enumerated
+span (this one calls the package's pivot_cols_mod_p).  herbrand_log
+predicts the ratio of Tate group orders from ranks alone, and
+diagonal_matrix writes out the diagonal a Smith form stands for.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 from math import gcd
 from types import SimpleNamespace
@@ -607,3 +610,32 @@ def herbrand_log(module, level):
     r = [fixed_rank(step * p**j) for j in range(level + 1)]
     phi = [None] + [p ** (j - 1) * (p - 1) for j in range(1, level + 1)]
     return level * r[0] - sum((r[j] - r[j - 1]) // phi[j] for j in range(1, level + 1))
+
+
+def search_invertible_in_full(members, modulus: int, p: int, verify, search, first=()):
+    """linalg.search_invertible as it enumerated every nonzero combination
+    of the members independent mod p, tried after first and each member."""
+    members = [x for x in members if (x % p).any()]
+    for x in (*first, *members):
+        found = verify(x)
+        if found is not None:
+            return found
+    pivots = []
+    if members:
+        pivots = linalg.pivot_cols_mod_p(p, np.stack([np.ravel(x) for x in members], axis=1))
+    enumerated = len(pivots) <= search.enumeration_bound
+    if enumerated:
+        span = [members[j] for j in pivots]
+        combos = (c for c in product(range(p), repeat=len(span)) if any(c))
+    else:
+        span = members
+        rng = random.Random(search.seed)
+        combos = ([rng.randrange(modulus) for _ in span] for _ in range(search.max_samples))
+    for coeffs in combos:
+        x = 0
+        for c, member in zip(coeffs, span):
+            x = (x + c * member) % modulus
+        found = verify(x)
+        if found is not None:
+            return found
+    return linalg.SearchMiss(len(pivots), enumerated)

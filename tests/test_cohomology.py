@@ -30,6 +30,7 @@ from cyclomod.errors import CyclomodError, PrecisionExhausted, PreconditionViola
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
+    _Model,
     augmentation_ideal,
     direct_sum,
     free_cover,
@@ -369,7 +370,9 @@ def test_other_precision_or_guard_shares_nothing(cores, smith_calls):
         assert mods[-1].sigma_matrix.tobytes() == mods[0].sigma_matrix.tobytes()
         _all_groups(mods[-1])
         assert smith_calls
-    assert len(cores) == len(mods) * 2
+    # Per module and parity, each of the two blocks (the group ring and
+    # Z/3) has a boundary and a core of its own.
+    assert len(cores) == len(mods) * 2 * 2 * 2
 
 
 def test_a_model_that_is_no_module_is_refused():
@@ -385,7 +388,9 @@ def test_shared_cores_die_with_their_modules(cores):
     c = GroupConfig(3, 2, 9)
     twins = _twins(c)
     groups = [h for mod in twins for h in _all_groups(mod)]
-    assert len(cores) == 2 * c.n
+    # Per level and parity, a boundary and a core for each of the two
+    # blocks (the ideal and Z/3), which the twins share.
+    assert len(cores) == 2 * c.n * 2 * 2
     del twins, groups
     gc.collect()
     assert len(cores) == 0
@@ -472,6 +477,100 @@ def test_tate_core_matches_the_relation_system(group):
             for degree in (0, 1):
                 nontrivial += _agrees_with_relation_system(module, degree, level, rng)
     assert nontrivial >= CORE_SEEDS
+
+
+def _unsplit_core(monkeypatch, module, degree, level):
+    """The core of the whole model taken as one block, in a fresh table."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_block_bounds", lambda sigma: [0, len(sigma)])
+        patch.setattr(cohomology, "_cores", weakref.WeakValueDictionary())
+        return cohomology._core(module, degree, level)
+
+
+def _core_reduce(core, column, exps, p):
+    y = linalg.matmul(core.ctx, core.rows, core.coords(column))
+    return [int(v) % p**f for v, f in zip(y[:, 0], exps)]
+
+
+def _agrees_with_the_unsplit_core(module, degree, level, rng, monkeypatch):
+    """Compare tate() with the core of the unsplit model; return the
+    blocks' boundary divisors when the group is nontrivial."""
+    c, ctx = module.cfg, linalg.Context(module.cfg.p, module.cfg.precision, 0)
+    try:
+        old = _unsplit_core(monkeypatch, module, degree, level)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            tate(module, degree, level)
+        return None
+    new = tate(module, degree, level)
+    exps = new.invariants
+    assert exps == old.invariants
+    if not exps:
+        return None
+    # Each set of generators has full rank mod p in the other's coordinates.
+    h = np.array([_core_reduce(old, g.column(), exps, c.p) for g in new.generators]).T
+    assert linalg.rank_mod_p(c.p, h) == len(exps)
+    old_gens = [module.element_from_model_coords(x) for x in old.generator_coords]
+    g = np.array([new.reduce(x) for x in old_gens], dtype=object).T
+    assert linalg.rank_mod_p(c.p, g) == len(exps)
+    # reduce() of numerator elements, plain and plus p^floor v, agrees up to G.
+    zsm, floor = old.boundary.zsm, c.precision - old.boundary.g
+    basis = (zsm.left_inv[:, : len(old.scale)] * old.scale.T) % c.modulus
+    for shift in (0, 1, 1):
+        coeffs = linalg.mat(ctx, [rng.randrange(c.modulus) for _ in range(basis.shape[1])])
+        noise = [shift * c.p**floor * rng.randrange(c.modulus) for _ in range(module.model_dim)]
+        x = (linalg.matmul(ctx, basis, coeffs).ravel() + noise) % c.modulus
+        x = module.element_from_model_coords(x)
+        want = g.dot(np.array(_core_reduce(old, x.column(), exps, c.p), dtype=object))
+        assert new.reduce(x) == tuple(int(w) % c.p**f for w, f in zip(want, exps))
+    parts = getattr(new._core, "parts", [new._core])
+    return [part.boundary.g for part in parts]
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", HERBRAND_GROUPS)
+def test_split_cores_match_the_unsplit_model(group, monkeypatch):
+    # Block-diagonal models against their core taken whole: equal
+    # invariants (or both PrecisionExhausted), generators of full rank
+    # mod p in each other's coordinates, and reduce() agreeing under
+    # p^floor noise.  Summands come in both orders, with a free block
+    # and trivial Z/p^e blocks, and some sums have blocks whose own
+    # boundary divisors, so their own floors, differ.
+    c = GroupConfig(*group)
+    rng = random.Random(13 * sum(group))
+    ideal, lam = augmentation_ideal(c), free_module(c, 1)
+    sums = [(ideal, trivial_module(c, 2)), (zp_trivial(c), lam, trivial_module(c, 1))]
+    for i in range(3):
+        base, extra = random_presented_module(c, rng), trivial_module(c, 1 + i % 3)
+        sums += [(base, extra, lam), (extra, ideal, base)]
+    divisors = []
+    for parts in sums:
+        module = direct_sum(*parts).module
+        for level in range(1, c.n + 1):
+            for degree in (0, 1):
+                divisors.append(_agrees_with_the_unsplit_core(module, degree, level, rng, monkeypatch))
+    split = [d for d in divisors if d and len(d) > 1]
+    assert len(split) >= 2 * c.n and any(len(set(d)) > 1 for d in split)
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", [(3, 2, 12), (2, 3, 12)])
+def test_a_change_of_basis_keeps_the_invariants(group):
+    # A random unimodular conjugate U sigma U^-1 of ideal + J1 + Lambda
+    # no longer splits into blocks, and every level and parity keeps
+    # its invariants.
+    c = GroupConfig(*group)
+    whole = direct_sum(augmentation_ideal(c), j_module(c, 1), free_module(c, 1)).module
+    ctx, m, rng = whole.ctx, whole.model_dim, random.Random(sum(group))
+    draw = linalg.mat(ctx, [[rng.randrange(c.modulus) for _ in range(m)] for _ in range(m)])
+    u = linalg.matmul(ctx, np.tril(draw, -1) + linalg.eye(ctx, m), np.triu(draw, 1) + linalg.eye(ctx, m))
+    sigma = linalg.matmul(ctx, linalg.matmul(ctx, u, whole.sigma_matrix), linalg.invert(ctx, u))
+    moved = PresentedModule._from_model(c, _Model(whole.moduli, sigma))
+    assert len(cohomology._block_bounds(whole.sigma_matrix)) >= 4
+    assert cohomology._block_bounds(sigma) == [0, m]
+    for level in range(1, c.n + 1):
+        for degree in (0, 1):
+            assert tate(moved, degree, level).invariants == tate(whole, degree, level).invariants
 
 
 @pytest.mark.filterwarnings("ignore:p = 2")

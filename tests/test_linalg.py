@@ -24,6 +24,7 @@ from _oracles import (
     diagonal_matrix,
     kernel_cols_by_column,
     pivot_cols_by_column,
+    search_invertible_in_full,
     smith_full_width,
     solve_by_entry,
 )
@@ -146,12 +147,10 @@ def smith_cases(draw):
         )
     )
     # Entries u * p^k: many share a valuation, and k = N gives zeros.
-    entry = st.builds(
-        lambda u, k: (u * p**k) % c.modulus,
-        st.integers(0, c.modulus - 1),
-        st.integers(0, precision),
-    )
-    flat = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    # They come from one drawn seed, not two draws per entry, which kept
+    # hypothesis busier than the eliminations it feeds.
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    flat = [rng.randrange(c.modulus) * p ** rng.randrange(precision + 1) for _ in range(m * n)]
     a = linalg.mat(c, np.array(flat, dtype=object).reshape(m, n))
     ceiling = draw(st.one_of(st.none(), st.integers(1, precision)))
     return c, a, draw(st.booleans()), draw(st.booleans()), ceiling
@@ -299,8 +298,11 @@ def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path)
     # Every elimination of three workload-shaped runs, including the wide
     # Tate coordinate relations (r x (m + t + r), r <= m) that the cases
     # above never reach, must equal the full-width kernel bit for bit.  A fresh core
-    # table makes the Tate eliminations run here.
+    # table and empty module caches make the Tate eliminations and the J1
+    # and ideal constructions run here, whatever ran before in the session.
     monkeypatch.setattr(cohomology, "_cores", weakref.WeakValueDictionary())
+    j_module.cache_clear()
+    augmentation_ideal.cache_clear()
     real = linalg.smith
     shapes = []
 
@@ -597,12 +599,13 @@ def _unit_mod_3(x):
 def test_search_enumerates_a_span_without_units_in_full():
     # Rank-one matrices mod 3; the third member repeats the first two mod
     # 3 and the last is zero mod 3, so the mod-p rank is 2.  The zero
-    # member is never tried: three members, then 3**2 - 1 combinations.
+    # member is never tried: three members, then the (3**2 - 1) / 2
+    # combinations whose first nonzero coefficient is 1.
     members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[2, 1], [0, 0]], [[3, 0], [0, 3]])
     verify, calls = _counting(_unit_mod_3)
     miss = linalg.search_invertible(members, 27, 3, verify, IsoSearchConfig())
     assert miss == linalg.SearchMiss(rank=2, enumerated=True)
-    assert len(calls) == 3 + 3**2 - 1
+    assert len(calls) == 3 + 4
     assert not any(np.array_equal(x, members[3]) for x in calls)
 
 
@@ -624,3 +627,53 @@ def test_search_samples_are_seeded():
     first, again = (linalg.search_invertible(members, 9, 3, _unit_mod_3, search) for _ in range(2))
     assert isinstance(first, np.ndarray) and _unit_mod_3(first) is not None
     assert np.array_equal(first, again)
+
+
+def test_search_samples_before_the_members():
+    # Past the bound the seeded samples come first, each the sum of the
+    # members with one drawn coefficient apiece, then the members.
+    members = _int64([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    search = IsoSearchConfig(seed=5, max_samples=7, enumeration_bound=2)
+    verify, calls = _counting(lambda x: None)
+    linalg.search_invertible(members, 27, 3, verify, search)
+    rng = random.Random(5)
+    for x in calls[: search.max_samples]:
+        want = sum(rng.randrange(27) * m for m in members) % 27
+        assert x.dtype == np.int64 and np.array_equal(x, want)
+    assert all(np.array_equal(x, m) for x, m in zip(calls[search.max_samples :], members))
+
+
+def test_search_normalized_enumeration_matches_the_full_one():
+    # On enumerated spans, skipping the unit multiples changes nothing:
+    # the same accepted matrix, or the same SearchMiss, as the frozen
+    # search that tried every nonzero mod-p combination.  Some spans
+    # keep the last row zero mod p, so that no member is a unit.
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        c = linalg.Context(p, rng.randrange(1, 4), 0)
+        size = rng.randrange(1, 4)
+        singular = rng.random() < 0.4
+        dirs = [random_matrix(c, rng, size, size, skew=2) for _ in range(rng.randrange(1, 5))]
+        if singular:
+            for d in dirs:
+                d[-1] = (d[-1] * p) % c.modulus
+        members = [
+            sum(rng.randrange(c.modulus) * d for d in dirs) % c.modulus
+            for _ in range(rng.randrange(1, 6))
+        ]
+        first = (random_matrix(c, rng, size, size, skew=2),) if rng.random() < 0.3 else ()
+
+        def unit(x, p=p):
+            return x if linalg.rank_mod_p(p, x) == x.shape[0] else None
+
+        args = (members, c.modulus, p, unit, IsoSearchConfig(), first)
+        want, got = search_invertible_in_full(*args), linalg.search_invertible(*args)
+        if isinstance(want, linalg.SearchMiss):
+            assert want.enumerated and got == want
+            outcomes.add("miss")
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            outcomes.add("hit")
+    assert outcomes == {"hit", "miss"}
