@@ -8,7 +8,8 @@ Commands:
   delta FILE                the level diagram of a module document
   delta-compare FILE FILE   diagram isomorphism verdict
   construct ...             build and save module/extension documents
-  verify SUITE              run a named battery
+  verify SUITE              run a named battery; a battery rejects the
+                            group options it does not read
 
 Exit codes: 0 verified / built, 1 failed or rejected input, 2 the
 search gave up (undecided).  Machine-format reports are canonical
@@ -308,21 +309,27 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    given = [opt for opt in ("p", "n", "precision", "guard") if getattr(args, opt) is not None]
+    # lemma3 and axioms run at the session config, prop5 reads --n with --r/--e.
+    at_session = args.suite in ("lemma3", "axioms")
+    one_prop5 = args.suite == "prop5" and (args.r is not None or bool(args.e))
+    ignored = [f"--{opt}" for opt in given if not (at_session or one_prop5 and opt == "n")]
+    if one_prop5 and args.n not in (None, 1, 2):
+        ignored.append(f"--n {args.n} (prop5 runs at n = 1 or 2)")
+    if ignored:
+        print(f"verify {args.suite}: does not take {', '.join(ignored)}", file=sys.stderr)
+        return EXIT_FAIL
     search = _search_config(args)
+    configs = (_session_config(args),) if at_session and given else None
     if args.suite == "lemma3":
-        if args.p is not None or args.n is not None:
-            cfg = _session_config(args)
-            configs = (cfg,)
-        else:
-            configs = None
         report = suite_lemma3(configs=configs, search=search, e_max=args.e_max)
     elif args.suite == "axioms":
-        report = suite_axioms(seed=args.seed, count=args.count)
+        report = suite_axioms(seed=args.seed, configs=configs, count=args.count)
     elif args.suite == "splitting":
         report = suite_splitting(seed=args.seed, search=search)
     elif args.suite == "prop5":
         instances = None
-        if args.r is not None or args.e:
+        if one_prop5:
             r = args.r if args.r is not None else len(args.e or ())
             exps = tuple(args.e) if args.e else (1,) * r
             n = args.n if args.n is not None else 1

@@ -456,7 +456,8 @@ class ModuleHom:
         ctx = target.ctx
         cols = [img.column() for img in images]
         orbits = _orbits(ctx, target.sigma_matrix, cols, source.cfg.order)
-        mat = linalg.matmul(ctx, orbits, source._lift)
+        rows = np.flatnonzero(source._lift.any(axis=1))  # lift is zero elsewhere
+        mat = linalg.matmul(ctx, orbits[:, rows], source._lift[rows])
         # Well-definedness comes down to two checks on the assembled
         # matrix: it must be a valid hom of the normalized models, and it
         # must reproduce the requested generator images.  Together these
@@ -580,8 +581,9 @@ def _centered_object(a, modulus: int) -> np.ndarray:
 
 
 def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarray:
-    """The columns x, sigma x, ..., sigma^(d-1) x for each x in turn."""
-    out = linalg.zeros(ctx, sigma.shape[0], len(columns) * d)
+    """The columns x, sigma x, ..., sigma^(d-1) x for each column x of the
+    given blocks in turn."""
+    out = linalg.zeros(ctx, sigma.shape[0], sum(c.shape[1] for c in columns) * d)
     if columns:
         out[:, ::d] = np.concatenate(columns, axis=1)
     for t in range(1, d):
@@ -591,8 +593,7 @@ def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarr
 
 def _sigma_powers(ctx: linalg.Context, model: _Model, d: int) -> np.ndarray:
     """Column i d + t is sigma^t e_i, rows reduced by the moduli."""
-    unit = linalg.eye(ctx, model.dim)
-    orbits = _orbits(ctx, model.sigma, [unit[:, i : i + 1] for i in range(model.dim)], d)
+    orbits = _orbits(ctx, model.sigma, [linalg.eye(ctx, model.dim)], d)
     return _canon_rows(ctx, orbits, model.moduli)
 
 
@@ -610,32 +611,33 @@ def _is_module(ctx: linalg.Context, sigma: np.ndarray, moduli, d: int) -> bool:
     return linalg.is_zero(_canon_rows(ctx, (power - linalg.eye(ctx, m)) % ctx.modulus, moduli))
 
 
-def _exact_lift(ambient: PresentedModule, elements, precision: int):
-    """(context, sigma, [element orbits | torsion columns]) at the given
-    precision, from a model of the ambient that is a module there.
+def _exact_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
+    """(context, sigma, [orbits of the columns | torsion columns]) at the
+    given precision, from a model of the ambient that is a module there.
 
-    The centered lift of the ambient's model qualifies when it passes
+    A submodule needs it unless its probe was its elimination: when its
+    precision is raised (N' > N: a probe pivot of positive valuation, or
+    torsion in the ambient), or when the ambient's model is no module at
+    N.  The centered lift of the ambient's model qualifies when it passes
     _is_module, as permutation and hand-built models do.  Otherwise the
     ambient's presentation, whose relations are exact integers, is
-    normalized again at that precision plus the guard, and the elements
+    normalized again at that precision plus the guard, and the columns
     are carried over through their group-ring coefficients.
     """
-    cfg = ambient.cfg
+    cfg, d = ambient.cfg, ambient.cfg.order
     src = linalg.Context(cfg.p, precision, 0)
     sigma = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
     moduli = ambient.moduli
-    cols = [linalg.mat(src, _centered_object(e.coords, cfg.modulus)) for e in elements]
-    if not _is_module(src, sigma, moduli, cfg.order):
+    cols = linalg.mat(src, _centered_object(columns, cfg.modulus))
+    if not _is_module(src, sigma, moduli, d):
         fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
         rows = _centered_object(ambient.relations, cfg.modulus)
         lifted = PresentedModule(fine, ambient.gen_names, rows)
-        src, sigma, moduli, cols = lifted.ctx, lifted.sigma_matrix, lifted.moduli, []
-        for e in elements:
-            amb = linalg.matmul(ambient.ctx, ambient._lift, e.column()).ravel()
-            amb = _centered_object(amb, cfg.modulus).tolist()
-            coeffs = [amb[g : g + cfg.order] for g in range(0, len(amb), cfg.order)]
-            cols.append(lifted.element(coeffs).column())
-    orbits = _orbits(src, sigma, cols, cfg.order)
+        src, sigma, moduli = lifted.ctx, lifted.sigma_matrix, lifted.moduli
+        amb = _centered_object(linalg.matmul(ambient.ctx, ambient._lift, columns), cfg.modulus)
+        coeffs = amb.T.reshape(columns.shape[1], -1, d).tolist()
+        cols = np.concatenate([lifted.element(c).column() for c in coeffs], axis=1)
+    orbits = _orbits(src, sigma, [cols], d)
     return src, sigma, linalg.hstack(src, [orbits, _torsion_columns(src, moduli)])
 
 
@@ -658,7 +660,11 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
        The pivot columns of U^-1 scaled by p^d_i form a basis B of the
        lattice, and dividing the rows of U [ev | T] by p^d_i gives the
        B-coordinates of ev and T; at N itself the division would lose
-       up to g = max d_i digits.
+       up to g = max d_i digits.  A probe at N finds g and raises on
+       guard-band pivots.  With no torsion in the ambient (e = 0, see
+       step 2) it keeps its row transforms, and when it finds g = 0 as
+       well, N' = N and it is this elimination, on the ambient's own
+       model when that is a module at N; no lift is made.
     2. A Smith form of T's coordinates gives the moduli, with sigma on
        the submodule proj2 (B^-1 sigma B) lift2 and proj = proj2 E, E the
        coordinates of ev.  The submodule's torsion lies in the ambient's,
@@ -671,28 +677,35 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     The result has one generator per element; its relation array is
     synthesized from the model on first read.
     """
-    cfg = ambient.cfg
-    ctx = ambient.ctx
-    d = cfg.order
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one generating element")
     for e in elements:
         if e.module is not ambient:
             raise ValueError("generating elements must lie in the ambient module")
-    if names is None:
-        names = [f"y{j}" for j in range(len(elements))]
-    k = len(elements)
-    ev = _orbits(ctx, ambient.sigma_matrix, [e.column() for e in elements], d)
+    return _submodule(ambient, np.concatenate([e.column() for e in elements], axis=1), names)
 
-    # Step 1.  The probe at N finds g and raises on guard-band pivots;
-    # the eliminations below keep the guard floor N - guard.
+
+def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Submodule:
+    """submodule_from_elements on the m x k array of the elements'
+    canonical model coordinates."""
+    cfg, ctx, d = ambient.cfg, ambient.ctx, ambient.cfg.order
+    k = columns.shape[1]
+    if names is None:
+        names = [f"y{j}" for j in range(k)]
+    ev = _orbits(ctx, ambient.sigma_matrix, [columns], d)
+
+    # Step 1.  The eliminations keep the guard floor N - guard.
     stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
-    g = max(linalg.smith(ctx, stacked, rows=False, cols=False).dvals, default=0)
     e_max = max(ambient.torsion_invariants(), default=0)
-    src, sigma_src, lattice = _exact_lift(ambient, elements, cfg.precision + g + e_max)
-    hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
-    sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
+    sm = linalg.smith(ctx, stacked, rows=not e_max, cols=False)
+    g = max(sm.dvals, default=0)
+    if g + e_max == 0 and _is_module(ctx, ambient.sigma_matrix, ambient.moduli, d):
+        hi, sigma_src, lattice = ctx, ambient.sigma_matrix, stacked
+    else:
+        src, sigma_src, lattice = _exact_lift(ambient, columns, cfg.precision + g + e_max)
+        hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
+        sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
     s = len(sm.dvals)
     left = sm.left[:s, :]
     basis = sm.left_inv[:, :s] * np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
@@ -713,14 +726,14 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     proj = linalg.matmul(mid, proj2, coords[:, : k * d]) % ctx.modulus
     proj = _canon_rows(ctx, linalg.mat(ctx, proj), model.moduli)
 
-    # Step 3.
+    # Step 3.  lift is zero outside the pivot rows.
     lift = linalg.zeros(ctx, k * d, model.dim)
-    if model.dim:
-        cols = linalg.pivot_cols_mod_p(cfg.p, proj)
-        lift[cols, :] = linalg.invert(ctx, proj[:, cols])
+    pivots = linalg.pivot_cols_mod_p(cfg.p, proj) if model.dim else []
+    if pivots:
+        lift[pivots, :] = linalg.invert(ctx, proj[:, pivots])
 
     sub = PresentedModule._derived(cfg, names, model, proj, lift)
-    inc = ModuleHom(sub, ambient, linalg.matmul(ctx, ev, lift), check=False)
+    inc = ModuleHom(sub, ambient, linalg.matmul(ctx, ev[:, pivots], lift[pivots]), check=False)
     return Submodule(sub, inc)
 
 
@@ -773,17 +786,27 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
 
     Solved as a saturated system: an element is in the kernel only when
     its image lies in the target's honest torsion lattice, not merely
-    when the image vanishes mod p^N.
+    when the image vanishes mod p^N.  The kernel is generated by the
+    nonzero saturated kernel vectors, reduced in the source model; with
+    none, it is the zero submodule on one generator (y0 by default), as
+    submodule_from_elements builds it from the zero element.
     """
     source = hom.source
-    ctx = source.ctx
+    ctx, d = source.ctx, source.cfg.order
     tc = hom.target.torsion_column_matrix()
     stacked = linalg.hstack(ctx, [hom.matrix, (-tc) % ctx.modulus])
     sat = linalg.saturated_kernel_cols(ctx, stacked)
-    xs = sat[: source.model_dim, :]
-    keep = [source.element_from_model_coords(xs[:, j]) for j in range(xs.shape[1])]
-    keep = [x for x in keep if not x.is_zero()] or [source.zero()]
-    return submodule_from_elements(source, keep, names=names)
+    xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
+    xs = xs[:, xs.any(axis=0)]
+    if xs.shape[1]:
+        return _submodule(source, xs, names)
+    names = ["y0"] if names is None else names
+    zero = _Model((), linalg.zeros(ctx, 0, 0))
+    sub = PresentedModule._derived(
+        source.cfg, names, zero, linalg.zeros(ctx, 0, d), linalg.zeros(ctx, d, 0)
+    )
+    inc = ModuleHom(sub, source, linalg.zeros(ctx, source.model_dim, 0), check=False)
+    return Submodule(sub, inc)
 
 
 def fixed_points(module: PresentedModule, level: int | None = None) -> Submodule:

@@ -125,9 +125,12 @@ def hom_space_basis(source: PresentedModule, target: PresentedModule) -> list:
     scale = np.array(scale, dtype=ctx.dtype)[None, :, None, None]
     system = (blocks * scale).reshape(-1, g * m2) % ctx.modulus
     ys = linalg.kernel_cols(ctx, system).reshape(g, m2, -1)
-    pivots = linalg.pivot_cols_mod_p(cfg.p, orbits)
-    images = np.stack([linalg.matmul(ctx, powers[:, :, c % d], ys[c // d]) for c in pivots], 2)
-    images = images.transpose(1, 0, 2).reshape(-1, m1)
+    pivots = np.array(linalg.pivot_cols_mod_p(cfg.p, orbits))
+    # One product per generator j, of its pivots' blocks sigma2^t stacked (one j at a time).
+    by_power = powers.transpose(2, 0, 1)
+    stacks = (by_power[pivots[pivots // d == j] % d].reshape(-1, m2) for j in range(g))
+    images = np.concatenate([linalg.matmul(ctx, s, y) for s, y in zip(stacks, ys)])
+    images = images.reshape(len(pivots), m2, -1).transpose(2, 1, 0).reshape(-1, m1)
     homs = linalg.matmul(ctx, images, linalg.invert(ctx, orbits[:, pivots])).reshape(-1, m2, m1)
     basis = [_canon_rows(ctx, x, target.moduli) for x in homs]
     return [x for x in basis if not linalg.is_zero(x)]
@@ -335,13 +338,10 @@ def krull_schmidt_note(module: PresentedModule) -> FreeSummandReport:
     free_rank = 0
     current = module
     while True:
-        found = None
-        for x in hom_space_basis(current, lam):
-            if (x.sum(axis=0) % p).any():
-                found = x
-                break
-        if found is None:
+        basis = hom_space_basis(current, lam)
+        hits = np.flatnonzero((np.sum(basis, axis=1) % p).any(axis=1)) if basis else ()
+        if not len(hits):
             return FreeSummandReport(free_rank, current)
-        rho = ModuleHom(current, lam, found)
+        rho = ModuleHom(current, lam, basis[hits[0]])
         current = kernel_of(rho).module
         free_rank += 1

@@ -18,7 +18,10 @@ was built eagerly with the module, and tate_core_by_relations, a Tate
 group's eliminations and reduce() as they ran on the relation system of
 numerator against denominator generators, and search_invertible_in_full,
 the search as it tried every nonzero mod-p combination of an enumerated
-span (this one calls the package's pivot_cols_mod_p).  herbrand_log
+span (this one calls the package's pivot_cols_mod_p), and
+submodule_by_probe, a submodule as it was built by a probe elimination
+and a second one at the raised precision, even where that precision
+was N itself.  herbrand_log
 predicts the ratio of Tate group orders from ranks alone, and
 diagonal_matrix writes out the diagonal a Smith form stands for.
 """
@@ -35,7 +38,21 @@ import numpy as np
 from cyclomod import linalg
 from cyclomod.arith import sigma_power, subgroup_norm
 from cyclomod.errors import CyclomodError, PrecisionExhausted
-from cyclomod.modules import _canon_rows, _coerce_ring
+from cyclomod.config import GroupConfig
+from cyclomod.modules import (
+    ModuleHom,
+    PresentedModule,
+    Submodule,
+    _canon_rows,
+    _centered_object,
+    _coerce_ring,
+    _divide_rows,
+    _is_module,
+    _Model,
+    _orbits,
+    _quotient_model,
+    _torsion_columns,
+)
 
 
 def det_int(rows) -> int:
@@ -639,3 +656,60 @@ def search_invertible_in_full(members, modulus: int, p: int, verify, search, fir
         if found is not None:
             return found
     return linalg.SearchMiss(len(pivots), enumerated)
+
+
+def submodule_by_probe(ambient, elements, names=None):
+    """modules.submodule_from_elements as it always eliminated [ev | T]
+    twice, a probe at N and then the lattice at N' = N + g + e on a
+    model lifted to N', expanding the orbits once at each precision,
+    and formed the inclusion with every row of lift (this one calls the
+    package's linear algebra and model helpers)."""
+    cfg, ctx, d = ambient.cfg, ambient.ctx, ambient.cfg.order
+    elements = list(elements)
+    k = len(elements)
+    if names is None:
+        names = [f"y{j}" for j in range(k)]
+    ev = _orbits(ctx, ambient.sigma_matrix, [e.column() for e in elements], d)
+    stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
+    g = max(linalg.smith(ctx, stacked, rows=False, cols=False).dvals, default=0)
+    e_max = max(ambient.torsion_invariants(), default=0)
+    # The ambient's model at N' (centered, or normalized again there).
+    precision = cfg.precision + g + e_max
+    src = linalg.Context(cfg.p, precision, 0)
+    sigma_src = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
+    moduli = ambient.moduli
+    cols = [linalg.mat(src, _centered_object(e.coords, cfg.modulus)) for e in elements]
+    if not _is_module(src, sigma_src, moduli, d):
+        fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
+        rows = _centered_object(ambient.relations, cfg.modulus)
+        lifted = PresentedModule(fine, ambient.gen_names, rows)
+        src, sigma_src, moduli, cols = lifted.ctx, lifted.sigma_matrix, lifted.moduli, []
+        for e in elements:
+            amb = linalg.matmul(ambient.ctx, ambient._lift, e.column()).ravel()
+            amb = _centered_object(amb, cfg.modulus).tolist()
+            coeffs = [amb[i : i + d] for i in range(0, len(amb), d)]
+            cols.append(lifted.element(coeffs).column())
+    orbits = _orbits(src, sigma_src, cols, d)
+    lattice = linalg.hstack(src, [orbits, _torsion_columns(src, moduli)])
+    hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
+    sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
+    s = len(sm.dvals)
+    left = sm.left[:s, :]
+    basis = sm.left_inv[:, :s] * np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
+    mid = linalg.Context(cfg.p, cfg.precision + e_max, cfg.guard + e_max)
+    image = linalg.matmul(hi, left, linalg.matmul(hi, sigma_src, basis % hi.modulus))
+    sigma_b = _divide_rows(hi, image, sm.dvals, mid)
+    coords = _divide_rows(hi, linalg.matmul(hi, left, lattice), sm.dvals, mid)
+    inner, proj2, _ = _quotient_model(mid, coords[:, k * d :], sigma_b, ceiling=e_max + 1)
+    sigma = linalg.mat(ctx, inner.sigma % ctx.modulus)
+    model = _Model(inner.moduli, _canon_rows(ctx, sigma, inner.moduli))
+    if not _is_module(ctx, model.sigma, model.moduli, d):
+        raise PrecisionExhausted("submodule does not close up as a module")
+    proj = linalg.matmul(mid, proj2, coords[:, : k * d]) % ctx.modulus
+    proj = _canon_rows(ctx, linalg.mat(ctx, proj), model.moduli)
+    lift = linalg.zeros(ctx, k * d, model.dim)
+    if model.dim:
+        piv = linalg.pivot_cols_mod_p(cfg.p, proj)
+        lift[piv, :] = linalg.invert(ctx, proj[:, piv])
+    sub = PresentedModule._derived(cfg, names, model, proj, lift)
+    return Submodule(sub, ModuleHom(sub, ambient, linalg.matmul(ctx, ev, lift), check=False))

@@ -261,6 +261,50 @@ def test_verify_lemma3_capped(capsys):
     assert doc["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv, rejected",
+    [
+        (["--p", "4", "--n", "1", "verify", "prop4"], "--p, --n"),
+        (["--p", "1", "--n", "1", "verify", "prop4"], "--p, --n"),
+        (["--p", "7", "verify", "theorem1"], "--p"),
+        (["--precision", "14", "verify", "splitting"], "--precision"),
+        (["--guard", "3", "verify", "lemma2"], "--guard"),
+        (["--n", "2", "verify", "yakovlev"], "--n"),
+        (["--p", "5", "verify", "negative"], "--p"),
+        (["--n", "2", "verify", "prop5"], "--n"),
+        (["--p", "3", "--n", "2", "verify", "prop5", "--r", "1"], "--p"),
+        (["--n", "3", "verify", "prop5", "--r", "1"], "--n 3"),
+    ],
+)
+def test_verify_rejects_group_options_it_would_ignore(capsys, argv, rejected):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and f"does not take {rejected}" in err
+
+
+def test_verify_axioms_runs_at_the_session_config(capsys):
+    argv = ["--p", "7", "--precision", "12", "verify", "axioms", "--count", "2"]
+    code, out, _ = run(capsys, "--format", "machine", *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["knobs"]["configs"] == ["p=7 n=1 N=12 guard=2"]
+    assert [c["name"] for c in doc["checks"]] == ["p7n1.module0", "p7n1.module1"]
+
+
+def test_verify_lemma3_reads_precision_and_guard_alone(capsys):
+    argv = ["--precision", "13", "--guard", "3", "verify", "lemma3", "--e-max", "0"]
+    code, out, _ = run(capsys, "--format", "machine", *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["knobs"]["configs"] == ["p=3 n=1 N=13 guard=3"]
+
+
+def test_verify_prop5_reads_n_for_its_instance(capsys):
+    code, out, _ = run(capsys, "--format", "machine", "--n", "2", "verify", "prop5", "--r", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["knobs"]["instances"] == ["r=1 exps=[1] n=2"]
+
+
 def test_out_flag_writes_file(docs, capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -14,10 +14,12 @@ from cyclomod.cohomology import coset_sum, tate
 from cyclomod.config import GroupConfig
 from cyclomod.constructions import carry_cocycle, j_module, splitting_module
 from cyclomod.errors import IllDefinedHom, PrecisionExhausted
+from cyclomod import modules
 from cyclomod.modules import (
     ModuleHom,
     PresentedModule,
     _centered_object,
+    _is_module,
     _orbits,
     _quotient_model,
     augmentation_ideal,
@@ -44,6 +46,7 @@ from _oracles import (
     expanded_relation_lattice,
     fixed_space_rank,
     orbits_by_column,
+    submodule_by_probe,
     synthesized_relations,
 )
 
@@ -477,3 +480,139 @@ def test_wrong_number_of_names_is_rejected():
             kernel_of(cover, names=names)
     with pytest.raises(ValueError):
         quotient_by_image(cover, names=["q"] * (dim + 1))
+
+
+PROBE_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10), (7, 1, 11)]
+
+
+def _assert_same_submodule(got, want):
+    a, b = got.module, want.module
+    assert a.gen_names == b.gen_names and a.moduli == b.moduli
+    pairs = [(a.sigma_matrix, b.sigma_matrix), (a._proj, b._proj), (a._lift, b._lift)]
+    for x, y in [*pairs, (got.inclusion.matrix, want.inclusion.matrix)]:
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+def _kernel_by_probe(hom):
+    """kernel_of as it handed one element per saturated kernel vector,
+    or the zero element, to the frozen construction."""
+    source, ctx = hom.source, hom.source.ctx
+    tc = hom.target.torsion_column_matrix()
+    sat = linalg.saturated_kernel_cols(ctx, linalg.hstack(ctx, [hom.matrix, (-tc) % ctx.modulus]))
+    keep = [source.element_from_model_coords(x) for x in sat[: source.model_dim].T]
+    return submodule_by_probe(source, [x for x in keep if not x.is_zero()] or [source.zero()])
+
+
+def _probe_cases(ambient, rng):
+    """Element sets (random, with p x added for g > 0, all multiples of
+    p) and homs whose kernels are fixed points, a cover's syzygies and 0."""
+    c, one = ambient.cfg, linalg.eye(ambient.ctx, ambient.model_dim)
+    draw = [
+        ambient.element_from_model_coords([rng.randrange(c.modulus) for _ in ambient.moduli])
+        for _ in range(2)
+    ]
+    sets = [draw[:1], draw + [c.p * draw[0]], [c.p * x for x in draw]]
+    homs = [identity_hom(ambient), free_cover(ambient)[1]]
+    for level in range(c.n + 1):
+        tau = ambient.act_matrix(sigma_power(c, c.p ** (c.n - level)))
+        homs.append(ModuleHom(ambient, ambient, (tau - one) % c.modulus))
+    return sets, homs
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", PROBE_GROUPS)
+def test_submodules_match_the_probe_construction(group):
+    # Bit for bit as the construction that always eliminated twice, with
+    # and without a trivial Z/p^e summand (random presentations alone
+    # have no torsion at p = 5 and 7), on sets with g > 0 and on kernels:
+    # fixed points, syzygies and zero kernels.
+    c = GroupConfig(*group)
+    paths, zeros = set(), 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        base = random_presented_module(c, rng)
+        with_torsion = direct_sum(base, trivial_module(c, 1 + seed)).module
+        for ambient in (base, with_torsion, free_module(c, 1)):
+            ctx, tc = ambient.ctx, ambient.torsion_column_matrix()
+            sets, homs = _probe_cases(ambient, rng)
+            for elements in sets:
+                names = [f"z{j}" for j in range(len(elements))]
+                got = submodule_from_elements(ambient, elements, names=names)
+                _assert_same_submodule(got, submodule_by_probe(ambient, elements, names=names))
+                ev = _orbits(ctx, ambient.sigma_matrix, [x.column() for x in elements], c.order)
+                sm = linalg.smith(ctx, linalg.hstack(ctx, [ev, tc]), rows=False, cols=False)
+                paths.add((max(sm.dvals, default=0) > 0, tc.shape[1] > 0))
+            for hom in homs:
+                got = kernel_of(hom)
+                _assert_same_submodule(got, _kernel_by_probe(hom))
+                zeros += got.module.is_zero()
+    assert zeros and {(False, False), (True, False), (True, True)} <= paths
+
+
+def test_submodules_match_the_probe_construction_on_the_object_path():
+    # C11 at 11^11 runs on Python integers: the ideal and its fixed points.
+    c = GroupConfig(11, 1, 11)
+    assert linalg.context_of(c).dtype is object
+    lam = free_module(c, 1)
+    one = sigma_power(c, 0)
+    elems = [lam.element([sigma_power(c, a) - one]) for a in range(1, c.order)]
+    for elements in (elems, [11 * elems[0], elems[1]]):
+        got = submodule_from_elements(lam, elements)
+        _assert_same_submodule(got, submodule_by_probe(lam, elements))
+    ideal = submodule_from_elements(lam, elems).module
+    tau = ideal.act_matrix(sigma_power(c, 1))
+    hom = ModuleHom(ideal, ideal, (tau - linalg.eye(ideal.ctx, 10)) % c.modulus)
+    _assert_same_submodule(kernel_of(hom), _kernel_by_probe(hom))
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group, a", [((3, 1, 11), 1), ((3, 2, 12), 2), ((2, 2, 12), 2)])
+def test_submodules_of_a_lifted_presentation_match_the_probe_construction(group, a):
+    # The centered lift of Lambda / p^a (sigma - 1) is no module at N + 1
+    # here, so these submodules are built on its presentation normalized
+    # again.
+    c = GroupConfig(*group)
+    lam = free_module(c, 1)
+    scaled = (sigma_power(c, 1) - sigma_power(c, 0)) * c.p**a
+    quot = quotient_by_image(scalar_action_hom(lam, scaled)).module
+    src = linalg.Context(c.p, c.precision + 1, 0)
+    lifted = linalg.mat(src, _centered_object(quot.sigma_matrix, c.modulus))
+    assert not _is_module(src, lifted, quot.moduli, c.order)
+    sets, homs = _probe_cases(quot, random.Random(0))
+    for elements in sets:
+        got = submodule_from_elements(quot, elements)
+        _assert_same_submodule(got, submodule_by_probe(quot, elements))
+    for hom in homs:
+        _assert_same_submodule(kernel_of(hom), _kernel_by_probe(hom))
+
+
+def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
+    # g = e = 0: the probe is the elimination of [ev | T], and the orbits
+    # are expanded once, at N; no lift to a raised precision is made.
+    c = GroupConfig(3, 2, 12)
+    lam = free_module(c, 1)
+    one = sigma_power(c, 0)
+    elems = [lam.element([sigma_power(c, a) - one]) for a in range(1, c.order)]
+    width = len(elems) * c.order
+    ev = _orbits(lam.ctx, lam.sigma_matrix, [e.column() for e in elems], c.order)
+    assert max(linalg.smith(lam.ctx, ev, rows=False, cols=False).dvals) == 0
+    calls = {"smith": [], "orbits": 0, "lift": 0}
+    smith, orbits, lift = linalg.smith, modules._orbits, modules._exact_lift
+
+    def count_smith(ctx, a, *args, **kwargs):
+        calls["smith"].append(np.shape(a))
+        return smith(ctx, a, *args, **kwargs)
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "smith", count_smith)
+    monkeypatch.setattr(modules, "_orbits", count("orbits", orbits))
+    monkeypatch.setattr(modules, "_exact_lift", count("lift", lift))
+    sub = submodule_from_elements(lam, elems)
+    assert calls["smith"].count((lam.model_dim, width)) == 1
+    assert calls["orbits"] == 1 and calls["lift"] == 0
+    assert sub.module.invariant_summary() == (c.order - 1, ())
