@@ -19,8 +19,8 @@ class GroupRingElement:
     __slots__ = ("cfg", "values")
 
     def __init__(self, cfg: GroupConfig, values):
-        d = cfg.order
-        vals = [int(v) % cfg.modulus for v in values]
+        d, mod = cfg.order, cfg.modulus
+        vals = [int(v) % mod for v in values]
         if len(vals) != d:
             raise ValueError(f"need {d} coefficients, got {len(vals)}")
         self.cfg = cfg

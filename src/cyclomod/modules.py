@@ -18,8 +18,8 @@ elimination of its expanded relation lattice.  Every derived module is
 built from a lattice in the model of an existing one: a submodule is
 (span of its generators' sigma-orbits + torsion lattice) / torsion
 lattice, eliminated at the ambient's model size; kernels and fixed
-points are submodules generated by saturated kernel vectors, found by
-keeping only the pivot-free directions of a Smith form, so congruence
+points are spanned by saturated kernel vectors, with no orbits over a
+torsion-free source: pivot-free directions of a Smith form, so congruence
 shadows of valuation N - d never enter a structural lattice.  A derived
 module is its model; its relation array is synthesized on first read.
 """
@@ -83,13 +83,9 @@ def _canon_rows(ctx: linalg.Context, a: np.ndarray, moduli) -> np.ndarray:
 
 
 def _canon_vec(ctx: linalg.Context, v, moduli) -> tuple:
-    out = []
-    for i, m in enumerate(moduli):
-        x = int(v[i]) % ctx.modulus
-        if m is not None:
-            x %= m
-        out.append(x)
-    return tuple(out)
+    # A torsion modulus p^e divides p^N, so one reduction by it suffices.
+    mod, v = ctx.modulus, v.tolist() if isinstance(v, np.ndarray) else list(v)
+    return tuple(int(v[i]) % (q or mod) for i, q in enumerate(moduli))
 
 
 def _torsion_columns(ctx: linalg.Context, moduli) -> np.ndarray:
@@ -281,7 +277,7 @@ class PresentedModule:
         return ElementVector(self, (0,) * self.model_dim)
 
     def element_from_model_coords(self, coords) -> "ElementVector":
-        return ElementVector(self, _canon_vec(self.ctx, list(coords), self._model.moduli))
+        return ElementVector(self, coords)
 
     def generator(self, index: int) -> "ElementVector":
         d = self.cfg.order
@@ -296,13 +292,10 @@ class PresentedModule:
         d = cfg.order
         if len(coeffs) != len(self.gen_names):
             raise ValueError("one coefficient per generator required")
-        amb = [0] * (len(self.gen_names) * d)
-        for g, coeff in enumerate(coeffs):
-            coeff = _coerce_ring(cfg, coeff)
-            for t, c in enumerate(coeff.values):
-                amb[g * d + t] = c
         ctx = self.ctx
-        coords = linalg.matmul(ctx, self._proj, linalg.mat(ctx, [[v] for v in amb]))
+        # Entry g d + t is the (canonical) coefficient of sigma^t on generator g.
+        amb = np.array([_coerce_ring(cfg, c).values for c in coeffs], dtype=ctx.dtype)
+        coords = linalg.matmul(ctx, self._proj, amb.reshape(len(coeffs) * d, 1))
         return self.element_from_model_coords(coords.ravel())
 
     # -- misc ----------------------------------------------------------
@@ -348,7 +341,7 @@ class ElementVector:
 
     def __init__(self, module: PresentedModule, coords):
         self.module = module
-        self.coords = _canon_vec(module.ctx, list(coords), module.moduli)
+        self.coords = _canon_vec(module.ctx, coords, module.moduli)
 
     def _check(self, other):
         if not isinstance(other, ElementVector) or other.module is not self.module:
@@ -582,10 +575,21 @@ def _centered_object(a, modulus: int) -> np.ndarray:
 
 def _orbits(ctx: linalg.Context, sigma: np.ndarray, columns, d: int) -> np.ndarray:
     """The columns x, sigma x, ..., sigma^(d-1) x for each column x of the
-    given blocks in turn."""
-    out = linalg.zeros(ctx, sigma.shape[0], sum(c.shape[1] for c in columns) * d)
+    given blocks in turn.  A permutation sigma (free modules and their sums:
+    m nonzeros, rows and columns summing to 1) acts by one row gather,
+    reduced as matmul reduces: sigma^t x = x[perm_t], perm_t = perm_(t-1)[perm]."""
+    m, k = sigma.shape[0], sum(c.shape[1] for c in columns)
+    out = linalg.zeros(ctx, m, k * d)
     if columns:
         out[:, ::d] = np.concatenate(columns, axis=1)
+    few = d > 1 and np.count_nonzero(sigma) == m  # one count turns a dense sigma away
+    if few and (sigma.sum(axis=0) == 1).all() and (sigma.sum(axis=1) == 1).all():
+        index = [np.nonzero(sigma)[1]]
+        for _ in range(2, d):
+            index.append(index[-1][index[0]])
+        gathered = (out[:, ::d] % ctx.modulus)[np.array(index)]
+        out.reshape(m, k, d)[:, :, 1:] = gathered.transpose(1, 2, 0)
+        return out
     for t in range(1, d):
         out[:, t::d] = linalg.matmul(ctx, sigma, out[:, t - 1 :: d])
     return out
@@ -611,6 +615,17 @@ def _is_module(ctx: linalg.Context, sigma: np.ndarray, moduli, d: int) -> bool:
     return linalg.is_zero(_canon_rows(ctx, (power - linalg.eye(ctx, m)) % ctx.modulus, moduli))
 
 
+def _centered_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
+    """(context, sigma, columns): the centered lifts of the ambient's model
+    and of the columns at the given precision, or None if no module there."""
+    cfg = ambient.cfg
+    src = linalg.Context(cfg.p, precision, 0)
+    sigma = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
+    if not _is_module(src, sigma, ambient.moduli, cfg.order):
+        return None
+    return src, sigma, linalg.mat(src, _centered_object(columns, cfg.modulus))
+
+
 def _exact_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
     """(context, sigma, [orbits of the columns | torsion columns]) at the
     given precision, from a model of the ambient that is a module there.
@@ -618,18 +633,16 @@ def _exact_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
     A submodule needs it unless its probe was its elimination: when its
     precision is raised (N' > N: a probe pivot of positive valuation, or
     torsion in the ambient), or when the ambient's model is no module at
-    N.  The centered lift of the ambient's model qualifies when it passes
-    _is_module, as permutation and hand-built models do.  Otherwise the
-    ambient's presentation, whose relations are exact integers, is
-    normalized again at that precision plus the guard, and the columns
-    are carried over through their group-ring coefficients.
+    N.  The model is the centered lift when it qualifies (_centered_lift).
+    Otherwise the ambient's presentation, whose relations are exact
+    integers, is normalized again at that precision plus the guard, and
+    the columns are carried over through their group-ring coefficients.
     """
     cfg, d = ambient.cfg, ambient.cfg.order
-    src = linalg.Context(cfg.p, precision, 0)
-    sigma = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
-    moduli = ambient.moduli
-    cols = linalg.mat(src, _centered_object(columns, cfg.modulus))
-    if not _is_module(src, sigma, moduli, d):
+    centered = _centered_lift(ambient, columns, precision)
+    if centered is not None:
+        (src, sigma, cols), moduli = centered, ambient.moduli
+    else:
         fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
         rows = _centered_object(ambient.relations, cfg.modulus)
         lifted = PresentedModule(fine, ambient.gen_names, rows)
@@ -686,14 +699,23 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     return _submodule(ambient, np.concatenate([e.column() for e in elements], axis=1), names)
 
 
-def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Submodule:
+def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable=False):
     """submodule_from_elements on the m x k array of the elements'
-    canonical model coordinates."""
+    canonical model coordinates.
+
+    stable says the columns span a sigma-stable lattice L of a torsion-free
+    ambient (a kernel's), so they stand for their orbits: the columns alone
+    are eliminated, at N + g on their centered lift when g > 0, proj is the
+    orbit expansion of their coordinates at the size of L and the inclusion
+    is B mod p^N.  Unless L is exactly sigma-stable there (the rows of
+    left sigma B past s vanish, row i is divisible by p^d_i) and the lift
+    is a module, the result is None.
+    """
     cfg, ctx, d = ambient.cfg, ambient.ctx, ambient.cfg.order
     k = columns.shape[1]
     if names is None:
         names = [f"y{j}" for j in range(k)]
-    ev = _orbits(ctx, ambient.sigma_matrix, [columns], d)
+    ev = columns if stable else _orbits(ctx, ambient.sigma_matrix, [columns], d)
 
     # Step 1.  The eliminations keep the guard floor N - guard.
     stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
@@ -703,19 +725,25 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Sub
     if g + e_max == 0 and _is_module(ctx, ambient.sigma_matrix, ambient.moduli, d):
         hi, sigma_src, lattice = ctx, ambient.sigma_matrix, stacked
     else:
-        src, sigma_src, lattice = _exact_lift(ambient, columns, cfg.precision + g + e_max)
+        lifting = _centered_lift if stable else _exact_lift
+        lifted = lifting(ambient, columns, cfg.precision + g + e_max)
+        if lifted is None:
+            return None
+        src, sigma_src, lattice = lifted
         hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
         sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
     s = len(sm.dvals)
-    left = sm.left[:s, :]
-    basis = sm.left_inv[:, :s] * np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
+    scale = np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
+    basis = sm.left_inv[:, :s] * scale % hi.modulus
     mid = linalg.Context(cfg.p, cfg.precision + e_max, cfg.guard + e_max)
-    image = linalg.matmul(hi, left, linalg.matmul(hi, sigma_src, basis % hi.modulus))
-    sigma_b = _divide_rows(hi, image, sm.dvals, mid)
-    coords = _divide_rows(hi, linalg.matmul(hi, left, lattice), sm.dvals, mid)
+    image = linalg.matmul(hi, sm.left[: None if stable else s], linalg.matmul(hi, sigma_src, basis))
+    if stable and (image[s:].any() or (image[:s] % scale[:, None]).any()):
+        return None
+    sigma_b = _divide_rows(hi, image[:s], sm.dvals, mid)
+    coords = _divide_rows(hi, linalg.matmul(hi, sm.left[:s], lattice), sm.dvals, mid)
 
     # Step 2.
-    inner, proj2, _ = _quotient_model(mid, coords[:, k * d :], sigma_b, ceiling=e_max + 1)
+    inner, proj2, _ = _quotient_model(mid, coords[:, ev.shape[1] :], sigma_b, ceiling=e_max + 1)
     sigma = linalg.mat(ctx, inner.sigma % ctx.modulus)
     model = _Model(inner.moduli, _canon_rows(ctx, sigma, inner.moduli))
     if not _is_module(ctx, model.sigma, model.moduli, d):
@@ -723,8 +751,10 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Sub
             f"submodule does not close up as a module at precision {cfg.precision}; "
             "raise the working precision"
         )
-    proj = linalg.matmul(mid, proj2, coords[:, : k * d]) % ctx.modulus
+    proj = linalg.matmul(mid, proj2, coords[:, : ev.shape[1]]) % ctx.modulus
     proj = _canon_rows(ctx, linalg.mat(ctx, proj), model.moduli)
+    if stable:
+        proj = _orbits(ctx, model.sigma, [proj], d)
 
     # Step 3.  lift is zero outside the pivot rows.
     lift = linalg.zeros(ctx, k * d, model.dim)
@@ -733,8 +763,8 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Sub
         lift[pivots, :] = linalg.invert(ctx, proj[:, pivots])
 
     sub = PresentedModule._derived(cfg, names, model, proj, lift)
-    inc = ModuleHom(sub, ambient, linalg.matmul(ctx, ev[:, pivots], lift[pivots]), check=False)
-    return Submodule(sub, inc)
+    inc = linalg.mat(ctx, basis) if stable else linalg.matmul(ctx, ev[:, pivots], lift[pivots])
+    return Submodule(sub, ModuleHom(sub, ambient, inc, check=False))
 
 
 def direct_sum(*modules: PresentedModule) -> DirectSum:
@@ -789,7 +819,9 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     when the image vanishes mod p^N.  The kernel is generated by the
     nonzero saturated kernel vectors, reduced in the source model; with
     none, it is the zero submodule on one generator (y0 by default), as
-    submodule_from_elements builds it from the zero element.
+    submodule_from_elements builds it from the zero element.  Those of a
+    torsion-free source span the sigma-stable lattice {x : Hx in T}, which
+    _submodule then builds without their orbits where it can (stable).
     """
     source = hom.source
     ctx, d = source.ctx, source.cfg.order
@@ -799,7 +831,8 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
     xs = xs[:, xs.any(axis=0)]
     if xs.shape[1]:
-        return _submodule(source, xs, names)
+        sub = source.is_torsion_free() and _submodule(source, xs, names, stable=True)
+        return sub or _submodule(source, xs, names)
     names = ["y0"] if names is None else names
     zero = _Model((), linalg.zeros(ctx, 0, 0))
     sub = PresentedModule._derived(

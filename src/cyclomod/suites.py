@@ -30,7 +30,7 @@ from .constructions import (
     theorem1_verify,
     zero_extension,
 )
-from .errors import CyclomodError, NotACocycle, WitnessInvalid
+from .errors import CyclomodError, NotACocycle, PreconditionViolated, WitnessInvalid
 from .modules import (
     PresentedModule,
     Submodule,
@@ -521,10 +521,14 @@ def suite_prop5(instances=None, search: IsoSearchConfig | None = None) -> SuiteR
 
     For each (r, exponents, n): the diagram of (+) Z/p^e_j (trivial
     action) (+) ideal matches the diagram of (+) J_min(e_j, n) (+)
-    ideal, and the top-level even cohomology invariants agree.
+    ideal, and the top-level even cohomology invariants agree.  n is 1
+    (CONFIG_31) or 2 (CONFIG_32); another n raises PreconditionViolated.
     """
     if instances is None:
         instances = PROP5_INSTANCES
+    for _, _, n in instances:
+        if n not in (1, 2):
+            raise PreconditionViolated(f"prop5 runs at n = 1 or 2, not n = {n}")
     if search is None:
         search = IsoSearchConfig()
     col = _Collector()

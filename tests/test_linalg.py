@@ -15,7 +15,13 @@ from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import Theorem1Input, j_module, lemma3_resolution, theorem1_verify
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 from cyclomod.fileio import save_file
-from cyclomod.modules import augmentation_ideal, direct_sum, free_module, trivial_module
+from cyclomod.modules import (
+    augmentation_ideal,
+    direct_sum,
+    free_module,
+    submodule_from_elements,
+    trivial_module,
+)
 from cyclomod.suites import random_presented_module
 
 from _oracles import (
@@ -315,9 +321,14 @@ def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path)
     _theorem1_chain((3, 2, 12))
     _theorem1_chain((2, 3, 12))
     _cohomology_maps(tmp_path)
-    # The lemma-3 resolution at C25: the 25 x 650 and 50 x 625 orbit
-    # lattices, and the raised-precision calls with a ceiling.
-    lemma3_resolution(GroupConfig(5, 2, 10), 1)
+    # The lemma-3 resolution at C25: the 25 x 650 orbit lattice and the
+    # raised-precision calls with a ceiling.  Its kernels no longer expand
+    # orbits, so the 50 x 625 orbit lattice of the 25 kernel vectors of
+    # the middle map is eliminated through submodule_from_elements.
+    res = lemma3_resolution(GroupConfig(5, 2, 10), 1)
+    lam2, ctx = res.free_pair, res.free_pair.ctx
+    kernel = linalg.saturated_kernel_cols(ctx, res.middle.matrix)
+    submodule_from_elements(lam2, [lam2.element_from_model_coords(x) for x in kernel.T])
     assert len(shapes) > 300
     assert any(dtype is object for dtype, _, _ in shapes)
     assert any(n >= 5 * m > 0 for _, (m, n), _ in shapes)

@@ -12,7 +12,7 @@ from cyclomod import fileio, linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power, subgroup_norm
 from cyclomod.cohomology import coset_sum, tate
 from cyclomod.config import GroupConfig
-from cyclomod.constructions import carry_cocycle, j_module, splitting_module
+from cyclomod.constructions import carry_cocycle, j_module, lemma3_resolution, splitting_module
 from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod import modules
 from cyclomod.modules import (
@@ -28,6 +28,7 @@ from cyclomod.modules import (
     free_cover,
     free_module,
     identity_hom,
+    images_agree,
     kernel_of,
     minimal_generators,
     quotient_by_image,
@@ -616,3 +617,144 @@ def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
     assert calls["smith"].count((lam.model_dim, width)) == 1
     assert calls["orbits"] == 1 and calls["lift"] == 0
     assert sub.module.invariant_summary() == (c.order - 1, ())
+
+
+def _assert_same_lattice(got, want):
+    """Equal moduli and images, and sigma conjugate under the change of
+    basis P (want.inclusion P = got.inclusion) mod p^(N - g), g the largest
+    pivot valuation of the inclusion, below which P is determined."""
+    a, b, ctx = got.module, want.module, got.module.ctx
+    assert a.moduli == b.moduli and images_agree(got.inclusion, want.inclusion)
+    if a.is_zero():
+        return
+    change = linalg.solve(ctx, want.inclusion.matrix, got.inclusion.matrix)
+    assert change is not None and linalg.rank_mod_p(ctx.p, change) == a.model_dim
+    g = max(linalg.smith(ctx, want.inclusion.matrix, rows=False, cols=False).dvals)
+    lhs = linalg.matmul(ctx, b.sigma_matrix, change)
+    rhs = linalg.matmul(ctx, change, a.sigma_matrix)
+    assert not ((lhs - rhs) % ctx.p ** (ctx.precision - g)).any()
+
+
+def _kernel_routes(monkeypatch):
+    """Record, per kernel of a torsion-free source, whether its own
+    lattice gave the submodule (True) or it fell back to the orbits."""
+    routes, real = [], modules._submodule
+
+    def recorded(*args, stable=False):
+        sub = real(*args, stable=stable)
+        if stable:
+            routes.append(sub is not None)
+        return sub
+
+    monkeypatch.setattr(modules, "_submodule", recorded)
+    return routes
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", [(3, 1, 11), (3, 2, 12), (2, 2, 12), (5, 1, 10), (11, 1, 11)])
+def test_kernels_from_their_own_lattice_match_the_probe_construction(group, monkeypatch):
+    # Lattice by lattice as the construction that expanded the kernel
+    # vectors' orbits: torsion-free targets (the middle map of the lemma-3
+    # resolution, covers of the ideal and of a random module), the
+    # augmentation onto Z/p^e for e = 1, 2 (g = e > 0) and the cover of a
+    # module with a trivial Z/p^e summand.  C11 at 11^11 is the object path.
+    c = GroupConfig(*group)
+    routes = _kernel_routes(monkeypatch)
+    lam, lam2 = free_module(c, 1), free_module(c, 2)
+    ring = [lam.element([c.p]), lam.element([sigma_power(c, 1) - sigma_power(c, 0)])]
+    homs = [ModuleHom.from_generator_images(lam2, lam, ring)]
+    for e in (1, 2):
+        tmod = trivial_module(c, e)
+        homs.append(ModuleHom.from_generator_images(lam, tmod, [tmod.generator(0)]))
+    base = random_presented_module(c, random.Random(sum(group)))
+    for target in (augmentation_ideal(c), base, direct_sum(base, trivial_module(c, 2)).module):
+        homs.append(free_cover(target)[1])
+    for hom in homs:
+        _assert_same_lattice(kernel_of(hom), _kernel_by_probe(hom))
+    assert routes and all(routes)
+
+
+@pytest.mark.parametrize("group, a", [((3, 2, 12), 2), ((5, 1, 10), 1)])
+def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, monkeypatch):
+    # Lambda -> Lambda / p^a (sigma - 1), the quotient of the lifted
+    # presentation test: its cover's kernel p^a (sigma - 1) Lambda takes its
+    # own lattice.  On random images some kernels' lattices lifted to N + g
+    # are not exactly sigma-stable, and those fall back to the orbits.
+    # Where the probe construction meets the guard band, so does kernel_of.
+    c = GroupConfig(*group)
+    routes = _kernel_routes(monkeypatch)
+    lam = free_module(c, 1)
+    scaled = (sigma_power(c, 1) - sigma_power(c, 0)) * c.p**a
+    quot = quotient_by_image(scalar_action_hom(lam, scaled)).module
+    rng = random.Random(1)
+    images = [quot.generator(0)]
+    images += [
+        quot.element_from_model_coords([rng.randrange(c.modulus) for _ in quot.moduli])
+        for _ in range(4)
+    ]
+    for image in images:
+        hom = ModuleHom.from_generator_images(lam, quot, [image])
+        try:
+            want = _kernel_by_probe(hom)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                kernel_of(hom)
+            continue
+        _assert_same_lattice(kernel_of(hom), want)
+    assert True in routes and False in routes
+
+
+@pytest.mark.parametrize("p, precision", [(3, 8), (5, 13), (7, 12)])
+def test_orbits_of_a_permutation_match_the_column_loop(p, precision, monkeypatch):
+    # int64, 5^13 cut into limbs and 7^12 on Python integers: a row gather
+    # gives the orbits bit for bit, also of columns that are not canonical,
+    # and forms no product.
+    c, rng = linalg.Context(p, precision, 2), random.Random(p)
+    for m, d in [(0, 4), (1, 3), (6, 9), (12, 25)]:
+        sigma = linalg.zeros(c, m, m)
+        sigma[np.arange(m), rng.sample(range(m), m)] = 1
+        columns = [linalg.mat(c, [[rng.randrange(c.modulus)] for _ in range(m)]) for _ in range(3)]
+        raw = [rng.randrange(-c.modulus, c.modulus) for _ in range(m)]
+        columns.append(np.array(raw, dtype=c.dtype).reshape(m, 1))
+        want = orbits_by_column(c, sigma, columns, d)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "matmul", None)
+            got = _orbits(c, sigma, columns, d)
+        assert got.dtype == want.dtype == c.dtype
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_the_lemma3_resolution_builds_no_orbit_lattice_of_its_kernels(monkeypatch):
+    # Guards the kernels that take their own lattice and the gather on
+    # free modules: at C25 the largest elimination is J_1's 25 x 650
+    # (26 elements of Lambda), not the 50 x 625 orbits of the 25 kernel
+    # vectors of Lambda^2 -> Lambda, and no orbit step of a permutation
+    # sigma is a product.
+    j_module.cache_clear()
+    augmentation_ideal.cache_clear()
+    cells, products, gathers = [], [], []
+    real_smith, real_orbits = linalg.smith, modules._orbits
+
+    def smith(c, a, *args, **kwargs):
+        cells.append(np.size(a))
+        return real_smith(c, a, *args, **kwargs)
+
+    def orbits(c, sigma, columns, d):
+        before = len(products)
+        out = real_orbits(c, sigma, columns, d)
+        ones = np.isin(sigma, (0, 1)).all() and (sigma.sum(axis=0) == 1).all()
+        if ones and (sigma.sum(axis=1) == 1).all():
+            gathers.append(len(products) - before)
+        return out
+
+    def matmul(c, a, b):
+        products.append(a.shape)
+        return real_matmul(c, a, b)
+
+    real_matmul = linalg.matmul
+    monkeypatch.setattr(linalg, "smith", smith)
+    monkeypatch.setattr(linalg, "matmul", matmul)
+    monkeypatch.setattr(modules, "_orbits", orbits)
+    lemma3_resolution(GroupConfig(5, 2, 10), 1)
+    assert max(cells) <= 25 * 650
+    assert gathers and not any(gathers)

@@ -10,6 +10,7 @@ import pytest
 from cyclomod import fileio
 from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import j_module
+from cyclomod.errors import PreconditionViolated
 from cyclomod.suites import (
     ALL_SUITES,
     CONFIG_31,
@@ -127,6 +128,14 @@ def test_prop5_instances_pass():
     report = suite_prop5()
     assert report.status == "pass"
     assert len(report.checks) == 8
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_prop5_rejects_an_instance_it_cannot_run_at_its_n(n):
+    # Such an instance would run at n = 1 under its own name; the battery
+    # refuses it before it runs any instance.
+    with pytest.raises(PreconditionViolated, match=f"not n = {n}"):
+        suite_prop5(instances=((1, (1,), 1), (1, (1,), n)))
 
 
 def test_theorem1_cases_pass():
