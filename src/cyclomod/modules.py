@@ -18,8 +18,8 @@ elimination of its expanded relation lattice.  Every derived module is
 built from a lattice in the model of an existing one: a submodule is
 (span of its generators' sigma-orbits + torsion lattice) / torsion
 lattice, eliminated at the ambient's model size; kernels and fixed
-points are spanned by saturated kernel vectors, with no orbits over a
-torsion-free source: pivot-free directions of a Smith form, so congruence
+points are spanned by saturated kernel vectors and the torsion lattice,
+with no orbits: pivot-free directions of a Smith form, so congruence
 shadows of valuation N - d never enter a structural lattice.  A derived
 module is its model; its relation array is synthesized on first read.
 """
@@ -326,9 +326,12 @@ def _quotient_model(ctx: linalg.Context, lattice: np.ndarray, sigma: np.ndarray,
     The span must be sigma-stable.  Returns (model, proj, lift) with
     proj @ lift = identity; pivots at or above ceiling count as zeros.
     """
+    a = lattice.shape[0]
+    if not lattice.shape[1]:  # no elimination: every coordinate is free
+        return _Model((None,) * a, linalg.mat(ctx, sigma)), linalg.eye(ctx, a), linalg.eye(ctx, a)
     sm = linalg.smith(ctx, lattice, cols=False, ceiling=ceiling)
     units = sum(1 for v in sm.dvals if v == 0)
-    moduli = [ctx.p**v for v in sm.dvals[units:]] + [None] * (lattice.shape[0] - len(sm.dvals))
+    moduli = [ctx.p**v for v in sm.dvals[units:]] + [None] * (a - len(sm.dvals))
     proj, lift = sm.left[units:, :], sm.left_inv[:, units:]
     sigma = _canon_rows(ctx, linalg.matmul(ctx, linalg.matmul(ctx, proj, sigma), lift), moduli)
     return _Model(tuple(moduli), sigma), proj, lift
@@ -616,42 +619,29 @@ def _is_module(ctx: linalg.Context, sigma: np.ndarray, moduli, d: int) -> bool:
 
 
 def _centered_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
-    """(context, sigma, columns): the centered lifts of the ambient's model
-    and of the columns at the given precision, or None if no module there."""
+    """(context, sigma, moduli, columns): the ambient's model and the columns
+    lifted centered to the given precision, or None if no module there."""
     cfg = ambient.cfg
     src = linalg.Context(cfg.p, precision, 0)
     sigma = linalg.mat(src, _centered_object(ambient.sigma_matrix, cfg.modulus))
     if not _is_module(src, sigma, ambient.moduli, cfg.order):
         return None
-    return src, sigma, linalg.mat(src, _centered_object(columns, cfg.modulus))
+    return src, sigma, ambient.moduli, linalg.mat(src, _centered_object(columns, cfg.modulus))
 
 
-def _exact_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
-    """(context, sigma, [orbits of the columns | torsion columns]) at the
-    given precision, from a model of the ambient that is a module there.
-
-    A submodule needs it unless its probe was its elimination: when its
-    precision is raised (N' > N: a probe pivot of positive valuation, or
-    torsion in the ambient), or when the ambient's model is no module at
-    N.  The model is the centered lift when it qualifies (_centered_lift).
-    Otherwise the ambient's presentation, whose relations are exact
-    integers, is normalized again at that precision plus the guard, and
-    the columns are carried over through their group-ring coefficients.
-    """
+def _renormalized_lift(ambient: PresentedModule, columns: np.ndarray, precision: int):
+    """_centered_lift from the ambient's presentation, whose relations are
+    exact integers, normalized again at the precision plus the guard: a model
+    with coordinates of its own, to which the columns are carried over
+    through their group-ring coefficients."""
     cfg, d = ambient.cfg, ambient.cfg.order
-    centered = _centered_lift(ambient, columns, precision)
-    if centered is not None:
-        (src, sigma, cols), moduli = centered, ambient.moduli
-    else:
-        fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
-        rows = _centered_object(ambient.relations, cfg.modulus)
-        lifted = PresentedModule(fine, ambient.gen_names, rows)
-        src, sigma, moduli = lifted.ctx, lifted.sigma_matrix, lifted.moduli
-        amb = _centered_object(linalg.matmul(ambient.ctx, ambient._lift, columns), cfg.modulus)
-        coeffs = amb.T.reshape(columns.shape[1], -1, d).tolist()
-        cols = np.concatenate([lifted.element(c).column() for c in coeffs], axis=1)
-    orbits = _orbits(src, sigma, [cols], d)
-    return src, sigma, linalg.hstack(src, [orbits, _torsion_columns(src, moduli)])
+    fine = GroupConfig(cfg.p, cfg.n, precision + cfg.guard, cfg.guard)
+    rows = _centered_object(ambient.relations, cfg.modulus)
+    lifted = PresentedModule(fine, ambient.gen_names, rows)
+    amb = _centered_object(linalg.matmul(ambient.ctx, ambient._lift, columns), cfg.modulus)
+    coeffs = amb.T.reshape(columns.shape[1], -1, d).tolist()
+    cols = np.concatenate([lifted.element(c).column() for c in coeffs], axis=1)
+    return lifted.ctx, lifted.sigma_matrix, lifted.moduli, cols
 
 
 def _divide_rows(ctx: linalg.Context, a: np.ndarray, dvals, out: linalg.Context) -> np.ndarray:
@@ -668,8 +658,9 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     inside the ambient model, so the work is done at model size m:
 
     1. [ev | T] is eliminated once, on a model of the ambient that is a
-       module at a raised precision N' (see _exact_lift), counting
-       residues of valuation >= N as zeros (the config precision policy).
+       module at a raised precision N' (_centered_lift, else
+       _renormalized_lift), counting residues of valuation >= N as zeros
+       (the config precision policy).
        The pivot columns of U^-1 scaled by p^d_i form a basis B of the
        lattice, and dividing the rows of U [ev | T] by p^d_i gives the
        B-coordinates of ev and T; at N itself the division would lose
@@ -703,11 +694,11 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable
     """submodule_from_elements on the m x k array of the elements'
     canonical model coordinates.
 
-    stable says the columns span a sigma-stable lattice L of a torsion-free
-    ambient (a kernel's), so they stand for their orbits: the columns alone
-    are eliminated, at N + g on their centered lift when g > 0, proj is the
-    orbit expansion of their coordinates at the size of L and the inclusion
-    is B mod p^N.  Unless L is exactly sigma-stable there (the rows of
+    stable says the columns and T span a sigma-stable lattice L (a
+    kernel's), so they stand for their orbits: [columns | T] alone is
+    eliminated, at N' on its centered lift when N' > N, proj is the orbit
+    expansion of the coordinates at the size of L and the inclusion is
+    B lift2 mod p^N.  Unless L is exactly sigma-stable there (the rows of
     left sigma B past s vanish, row i is divisible by p^d_i) and the lift
     is a module, the result is None.
     """
@@ -725,11 +716,13 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable
     if g + e_max == 0 and _is_module(ctx, ambient.sigma_matrix, ambient.moduli, d):
         hi, sigma_src, lattice = ctx, ambient.sigma_matrix, stacked
     else:
-        lifting = _centered_lift if stable else _exact_lift
-        lifted = lifting(ambient, columns, cfg.precision + g + e_max)
-        if lifted is None:
+        precision = cfg.precision + g + e_max
+        lifted = _centered_lift(ambient, columns, precision)
+        if lifted is None and stable:
             return None
-        src, sigma_src, lattice = lifted
+        src, sigma_src, moduli, cols = lifted or _renormalized_lift(ambient, columns, precision)
+        ev_src = cols if stable else _orbits(src, sigma_src, [cols], d)
+        lattice = linalg.hstack(src, [ev_src, _torsion_columns(src, moduli)])
         hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
         sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
     s = len(sm.dvals)
@@ -743,7 +736,7 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable
     coords = _divide_rows(hi, linalg.matmul(hi, sm.left[:s], lattice), sm.dvals, mid)
 
     # Step 2.
-    inner, proj2, _ = _quotient_model(mid, coords[:, ev.shape[1] :], sigma_b, ceiling=e_max + 1)
+    inner, proj2, lift2 = _quotient_model(mid, coords[:, ev.shape[1] :], sigma_b, ceiling=e_max + 1)
     sigma = linalg.mat(ctx, inner.sigma % ctx.modulus)
     model = _Model(inner.moduli, _canon_rows(ctx, sigma, inner.moduli))
     if not _is_module(ctx, model.sigma, model.moduli, d):
@@ -763,7 +756,8 @@ def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable
         lift[pivots, :] = linalg.invert(ctx, proj[:, pivots])
 
     sub = PresentedModule._derived(cfg, names, model, proj, lift)
-    inc = linalg.mat(ctx, basis) if stable else linalg.matmul(ctx, ev[:, pivots], lift[pivots])
+    left, right = (basis, lift2) if stable else (ev[:, pivots], lift[pivots])
+    inc = linalg.matmul(ctx, linalg.mat(ctx, left), linalg.mat(ctx, right))
     return Submodule(sub, ModuleHom(sub, ambient, inc, check=False))
 
 
@@ -819,9 +813,10 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     when the image vanishes mod p^N.  The kernel is generated by the
     nonzero saturated kernel vectors, reduced in the source model; with
     none, it is the zero submodule on one generator (y0 by default), as
-    submodule_from_elements builds it from the zero element.  Those of a
-    torsion-free source span the sigma-stable lattice {x : Hx in T}, which
-    _submodule then builds without their orbits where it can (stable).
+    submodule_from_elements builds it from the zero element.  With the
+    source's torsion columns they span the sigma-stable lattice
+    {x : Hx in T}, which _submodule builds without their orbits (stable)
+    unless its lift is no module or not exactly sigma-stable.
     """
     source = hom.source
     ctx, d = source.ctx, source.cfg.order
@@ -831,8 +826,7 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
     xs = xs[:, xs.any(axis=0)]
     if xs.shape[1]:
-        sub = source.is_torsion_free() and _submodule(source, xs, names, stable=True)
-        return sub or _submodule(source, xs, names)
+        return _submodule(source, xs, names, stable=True) or _submodule(source, xs, names)
     names = ["y0"] if names is None else names
     zero = _Model((), linalg.zeros(ctx, 0, 0))
     sub = PresentedModule._derived(

@@ -375,68 +375,42 @@ def suite_splitting(seed: int = 0, search: IsoSearchConfig | None = None) -> Sui
 # -- battery 4: the kernel-of-projection pipeline -------------------------
 
 
+def _pipeline_input(shape: str, cfg: GroupConfig) -> Theorem1Input:
+    """The pipeline input of a shape: ideal, ideal+free, J1+ideal or J1+ideal+free.
+
+    The parts are J_1, then the augmentation ideal, then Lambda named f.
+    The free witnesses are generator 0 of every part but the ideal
+    (generator 0 of J_1 is p * 1, which spans a free finite-index
+    sublattice of the J-summand); the ideal witness is the ideal's
+    generator 0.
+    """
+    parts = [j_module(cfg, 1)] if shape.startswith("J1+") else []
+    at, ideal = len(parts), augmentation_ideal(cfg)
+    if shape == "ideal":
+        return Theorem1Input(module=ideal, free_witness=(), ideal_witness=ideal.generator(0), rank=0)
+    parts.append(ideal)
+    if shape.endswith("+free"):
+        parts.append(free_module(cfg, 1, names=["f"]))
+    ds = direct_sum(*parts)
+    free = tuple(ds.injections[i].apply(m.generator(0)) for i, m in enumerate(parts) if i != at)
+    return Theorem1Input(
+        module=ds.module,
+        free_witness=free,
+        ideal_witness=ds.injections[at].apply(ideal.generator(0)),
+        rank=len(free),
+    )
+
+
 def _pipeline_battery():
-    """Named Theorem1Input instances with hand-verified witnesses."""
-    out = []
-
-    def ideal_only(cfg):
-        ideal = augmentation_ideal(cfg)
-        return Theorem1Input(
-            module=ideal, free_witness=(), ideal_witness=ideal.generator(0), rank=0
-        )
-
-    def ideal_plus_free(cfg):
-        ideal = augmentation_ideal(cfg)
-        lam = free_module(cfg, 1, names=["f"])
-        ds = direct_sum(ideal, lam)
-        return Theorem1Input(
-            module=ds.module,
-            free_witness=(ds.injections[1].apply(lam.generator(0)),),
-            ideal_witness=ds.injections[0].apply(ideal.generator(0)),
-            rank=1,
-        )
-
-    def j1_plus_ideal(cfg):
-        jm = j_module(cfg, 1)
-        ideal = augmentation_ideal(cfg)
-        ds = direct_sum(jm, ideal)
-        # generator 0 of the J-module is p * 1, which spans a free
-        # finite-index sublattice of the J-summand
-        return Theorem1Input(
-            module=ds.module,
-            free_witness=(ds.injections[0].apply(jm.generator(0)),),
-            ideal_witness=ds.injections[1].apply(ideal.generator(0)),
-            rank=1,
-        )
-
-    def j1_plus_ideal_plus_free(cfg):
-        jm = j_module(cfg, 1)
-        ideal = augmentation_ideal(cfg)
-        lam = free_module(cfg, 1, names=["f"])
-        ds = direct_sum(jm, ideal, lam)
-        return Theorem1Input(
-            module=ds.module,
-            free_witness=(
-                ds.injections[0].apply(jm.generator(0)),
-                ds.injections[2].apply(lam.generator(0)),
-            ),
-            ideal_witness=ds.injections[1].apply(ideal.generator(0)),
-            rank=2,
-        )
-
-    out.append(("ideal.p3n1", ideal_only(CONFIG_31), (1,)))
-    out.append(("ideal.p3n2", ideal_only(CONFIG_32), (2,)))
-    out.append(("ideal.p5n1", ideal_only(CONFIG_51), (1,)))
-    out.append(("ideal+free.p3n1", ideal_plus_free(CONFIG_31), (1,)))
-    out.append(("J1+ideal.p3n1", j1_plus_ideal(CONFIG_31), (1, 1)))
-    out.append(("J1+ideal.p5n1", j1_plus_ideal(CONFIG_51), (1, 1)))
-    builders = {
-        "ideal": ideal_only,
-        "ideal+free": ideal_plus_free,
-        "J1+ideal": j1_plus_ideal,
-        "J1+ideal+free": j1_plus_ideal_plus_free,
-    }
-    return out, builders
+    """Named Theorem1Input instances with their hand-verified kernel invariants."""
+    return [
+        ("ideal.p3n1", _pipeline_input("ideal", CONFIG_31), (1,)),
+        ("ideal.p3n2", _pipeline_input("ideal", CONFIG_32), (2,)),
+        ("ideal.p5n1", _pipeline_input("ideal", CONFIG_51), (1,)),
+        ("ideal+free.p3n1", _pipeline_input("ideal+free", CONFIG_31), (1,)),
+        ("J1+ideal.p3n1", _pipeline_input("J1+ideal", CONFIG_31), (1, 1)),
+        ("J1+ideal.p5n1", _pipeline_input("J1+ideal", CONFIG_51), (1, 1)),
+    ]
 
 
 def suite_lemma2(search: IsoSearchConfig | None = None) -> SuiteReport:
@@ -452,7 +426,7 @@ def suite_lemma2(search: IsoSearchConfig | None = None) -> SuiteReport:
     if search is None:
         search = IsoSearchConfig()
     col = _Collector()
-    battery, _ = _pipeline_battery()
+    battery = _pipeline_battery()
     for name, data, expect_kernel in battery:
         res = col.guarded(f"{name}.pipeline", lambda data=data: lemma2_pipeline(data))
         if res is None:
@@ -572,14 +546,13 @@ def suite_theorem1(search: IsoSearchConfig | None = None) -> SuiteReport:
     if search is None:
         search = IsoSearchConfig()
     col = _Collector()
-    _, builders = _pipeline_battery()
     cases = [
-        ("ideal.p3n1", builders["ideal"](CONFIG_31)),
-        ("ideal+free.p3n1", builders["ideal+free"](CONFIG_31)),
-        ("J1+ideal.p3n1", builders["J1+ideal"](CONFIG_31)),
-        ("J1+ideal+free.p3n1", builders["J1+ideal+free"](CONFIG_31)),
-        ("ideal.p5n1", builders["ideal"](CONFIG_51)),
-        ("ideal.p3n2", builders["ideal"](CONFIG_32)),
+        ("ideal.p3n1", _pipeline_input("ideal", CONFIG_31)),
+        ("ideal+free.p3n1", _pipeline_input("ideal+free", CONFIG_31)),
+        ("J1+ideal.p3n1", _pipeline_input("J1+ideal", CONFIG_31)),
+        ("J1+ideal+free.p3n1", _pipeline_input("J1+ideal+free", CONFIG_31)),
+        ("ideal.p5n1", _pipeline_input("ideal", CONFIG_51)),
+        ("ideal.p3n2", _pipeline_input("ideal", CONFIG_32)),
     ]
     for name, data in cases:
         report = col.guarded(f"{name}.chain", lambda data=data: theorem1_verify(data, search))

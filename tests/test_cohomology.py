@@ -40,7 +40,7 @@ from cyclomod.modules import (
     trivial_module,
     zp_trivial,
 )
-from cyclomod.suites import _pipeline_battery, random_presented_module
+from cyclomod.suites import _pipeline_input, random_presented_module
 
 from _oracles import (
     FiniteModule,
@@ -576,10 +576,9 @@ def test_a_change_of_basis_keeps_the_invariants(group):
 @pytest.mark.filterwarnings("ignore:p = 2")
 def test_margin_error_names_the_precision_needed():
     # C8 ideal: a level-3 boundary kernel has a divisor of valuation 6.
-    data = _pipeline_battery()[1]["ideal"]
     with pytest.raises(PrecisionExhausted, match="needed N >= 9"):
-        theorem1_verify(data(GroupConfig(2, 3, 8)))
-    assert theorem1_verify(data(GroupConfig(2, 3, 9))).passed
+        theorem1_verify(_pipeline_input("ideal", GroupConfig(2, 3, 8)))
+    assert theorem1_verify(_pipeline_input("ideal", GroupConfig(2, 3, 9))).passed
 
 
 def test_theorem1_chain_matches_the_herbrand_quotient():
@@ -587,7 +586,7 @@ def test_theorem1_chain_matches_the_herbrand_quotient():
     # input's, 0, -1, -2, -3 by level, on all but the finite kernel A,
     # where it is 1 (log 0).
     c = GroupConfig(3, 3, 13)
-    data = _pipeline_battery()[1]["J1+ideal"](c)
+    data = _pipeline_input("J1+ideal", c)
     res = lemma2_pipeline(data)
     split = splitting_module(cocycle_from_section(res.pi, res.kernel)).module
     syzygy = split

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from cyclomod import fileio, linalg
 from cyclomod.arith import GroupRingElement, norm_element, sigma_power, subgroup_norm
 from cyclomod.cohomology import coset_sum, tate
 from cyclomod.config import GroupConfig
-from cyclomod.constructions import carry_cocycle, j_module, lemma3_resolution, splitting_module
+from cyclomod.constructions import (
+    carry_cocycle,
+    j_module,
+    lemma2_pipeline,
+    lemma3_resolution,
+    splitting_module,
+    theorem1_verify,
+)
 from cyclomod.errors import IllDefinedHom, PrecisionExhausted
 from cyclomod import modules
 from cyclomod.modules import (
@@ -39,7 +47,7 @@ from cyclomod.modules import (
     zp_trivial,
 )
 from cyclomod.oracle import _at_config, hom_space_basis
-from cyclomod.suites import random_presented_module
+from cyclomod.suites import _pipeline_input, random_presented_module, suite_splitting
 
 from _oracles import (
     act_matrix_by_powers,
@@ -598,7 +606,8 @@ def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
     ev = _orbits(lam.ctx, lam.sigma_matrix, [e.column() for e in elems], c.order)
     assert max(linalg.smith(lam.ctx, ev, rows=False, cols=False).dvals) == 0
     calls = {"smith": [], "orbits": 0, "lift": 0}
-    smith, orbits, lift = linalg.smith, modules._orbits, modules._exact_lift
+    smith, orbits = linalg.smith, modules._orbits
+    centered, renormalized = modules._centered_lift, modules._renormalized_lift
 
     def count_smith(ctx, a, *args, **kwargs):
         calls["smith"].append(np.shape(a))
@@ -612,7 +621,8 @@ def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "smith", count_smith)
     monkeypatch.setattr(modules, "_orbits", count("orbits", orbits))
-    monkeypatch.setattr(modules, "_exact_lift", count("lift", lift))
+    monkeypatch.setattr(modules, "_centered_lift", count("lift", centered))
+    monkeypatch.setattr(modules, "_renormalized_lift", count("lift", renormalized))
     sub = submodule_from_elements(lam, elems)
     assert calls["smith"].count((lam.model_dim, width)) == 1
     assert calls["orbits"] == 1 and calls["lift"] == 0
@@ -636,8 +646,8 @@ def _assert_same_lattice(got, want):
 
 
 def _kernel_routes(monkeypatch):
-    """Record, per kernel of a torsion-free source, whether its own
-    lattice gave the submodule (True) or it fell back to the orbits."""
+    """Record, per kernel, whether its own lattice gave the submodule
+    (True) or it fell back to the orbits."""
     routes, real = [], modules._submodule
 
     def recorded(*args, stable=False):
@@ -677,8 +687,9 @@ def test_kernels_from_their_own_lattice_match_the_probe_construction(group, monk
 @pytest.mark.parametrize("group, a", [((3, 2, 12), 2), ((5, 1, 10), 1)])
 def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, monkeypatch):
     # Lambda -> Lambda / p^a (sigma - 1), the quotient of the lifted
-    # presentation test: its cover's kernel p^a (sigma - 1) Lambda takes its
-    # own lattice.  On random images some kernels' lattices lifted to N + g
+    # presentation test, and the same maps on Lambda + Z/p, which kill the
+    # Z/p summand: its cover's kernel p^a (sigma - 1) Lambda takes its own
+    # lattice.  On random images some kernels' lattices lifted to N + g
     # are not exactly sigma-stable, and those fall back to the orbits.
     # Where the probe construction meets the guard band, so does kernel_of.
     c = GroupConfig(*group)
@@ -692,16 +703,71 @@ def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, mo
         quot.element_from_model_coords([rng.randrange(c.modulus) for _ in quot.moduli])
         for _ in range(4)
     ]
-    for image in images:
-        hom = ModuleHom.from_generator_images(lam, quot, [image])
-        try:
-            want = _kernel_by_probe(hom)
-        except PrecisionExhausted:
-            with pytest.raises(PrecisionExhausted):
-                kernel_of(hom)
-            continue
-        _assert_same_lattice(kernel_of(hom), want)
-    assert True in routes and False in routes
+    for onto in (identity_hom(lam), direct_sum(lam, trivial_module(c, 1)).projections[0]):
+        routes.clear()
+        for image in images:
+            hom = ModuleHom.from_generator_images(lam, quot, [image]).compose(onto)
+            try:
+                want = _kernel_by_probe(hom)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    kernel_of(hom)
+                continue
+            _assert_same_lattice(kernel_of(hom), want)
+        assert True in routes and False in routes
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", [(3, 1, 11), (3, 2, 12), (2, 3, 12), (5, 1, 10), (11, 1, 11)])
+def test_kernels_of_sources_with_torsion_match_the_element_route(group, monkeypatch):
+    # Bit for bit as the orbits of the same kernel vectors, as kernel_of's
+    # fallback builds them: the kernels of p and of tau - 1 at every level
+    # on the finite kernel A of the J1+ideal pipeline and on a random
+    # module plus a trivial Z/p^e summand, e = 1, 2 (random modules alone
+    # have no torsion at p = 5 and 7), all on their own lattice, and every
+    # kernel the pipeline builds on that route.  C11 at 11^11 is the
+    # object path.
+    c = GroupConfig(*group)
+    pairs, real = [], modules._submodule
+
+    def recorded(ambient, columns, names=None, stable=False):
+        sub = real(ambient, columns, names, stable=stable)
+        if stable and sub is not None:
+            pairs.append((sub, real(ambient, columns, names)))
+        return sub
+
+    monkeypatch.setattr(modules, "_submodule", recorded)
+    sources = [lemma2_pipeline(_pipeline_input("J1+ideal", c)).kernel.module]
+    for e in (1, 2):
+        base = random_presented_module(c, random.Random(e))
+        sources.append(direct_sum(base, trivial_module(c, e)).module)
+    for source in sources:
+        one = linalg.eye(source.ctx, source.model_dim)
+        homs = [scalar_action_hom(source, c.p)]
+        for level in range(c.n + 1):
+            tau = source.act_matrix(sigma_power(c, c.p ** (c.n - level)))
+            homs.append(ModuleHom(source, source, (tau - one) % c.modulus))
+        for hom in homs:
+            assert not source.is_torsion_free() and kernel_of(hom) is pairs[-1][0]
+    for got, want in pairs:
+        _assert_same_submodule(got, want)
+
+
+def test_the_chain_and_the_splitting_battery_expand_no_kernel_orbits(monkeypatch):
+    # kernel_of reaches the element route only as its fallback, and no
+    # kernel of the theorem-1 chain on J1+ideal+free at C9, or of the
+    # splitting battery, needs it.
+    calls, real = [], modules._submodule
+
+    def recorded(*args, stable=False):
+        if sys._getframe(1).f_code.co_name == "kernel_of":
+            calls.append(stable)
+        return real(*args, stable=stable)
+
+    monkeypatch.setattr(modules, "_submodule", recorded)
+    assert theorem1_verify(_pipeline_input("J1+ideal+free", GroupConfig(3, 2, 12))).passed
+    assert suite_splitting().status == "pass"
+    assert calls and all(calls)
 
 
 @pytest.mark.parametrize("p, precision", [(3, 8), (5, 13), (7, 12)])

@@ -74,7 +74,7 @@ and the kernels of hand-written extension documents.  Some of the
 fixed points (of the quotient at p = 3, of random5.fixed at C4) lie
 in derived ambients whose centered model is not a module, so they
 are found on the ambient re-normalized from its synthesized
-relations (modules._exact_lift).  An intended change regenerates it
+relations (modules._renormalized_lift).  An intended change regenerates it
 with
 
     PYTHONPATH=src:tests python -c "from test_reports_stable import \
@@ -114,7 +114,7 @@ from cyclomod.modules import (
 )
 from cyclomod.suites import (
     ALL_SUITES,
-    _pipeline_battery,
+    _pipeline_input,
     _random_cochain,
     random_presented_module,
 )
@@ -204,9 +204,8 @@ def extension_documents() -> str:
                 ("reextracted", again),
             ):
                 docs[f"{tag}.{kind}"] = fileio.to_dict(ext)
-    builders = _pipeline_battery()[1]
     for shape in ("ideal", "J1+ideal"):
-        report = theorem1_verify(builders[shape](GroupConfig(3, 2, 12)))
+        report = theorem1_verify(_pipeline_input(shape, GroupConfig(3, 2, 12)))
         docs[f"theorem1.p3n2.{shape}"] = fileio.to_dict(report.extension)
     return fileio.machine_report(docs)
 
