@@ -8,7 +8,8 @@ searches) reduces to a few primitives implemented here on numpy arrays:
   The pivot loop keeps its multipliers in place (LU storage) and the
   transforms are assembled once at the end; callers ask only for the
   ones they read, and may run it at a raised precision with a lower
-  zero ceiling (see smith()).
+  zero ceiling (see smith()).  Up to _SMALL_CELLS = 2048 cells it runs
+  on lists of Python ints, past that crossover on numpy arrays.
 * solve: particular solutions of A X = B mod p^N.
 * kernel_cols: generators of the congruence kernel {x : A x = 0 mod p^N}.
 * saturated_kernel_cols: generators of the p-adic kernel, i.e. the
@@ -27,9 +28,9 @@ instead of a silent misclassification.
 
 Arrays use int64 when p^N <= 2^31 and Python-integer object arrays
 otherwise (Context.dtype).  Below 2^31 a residue times a residue, plus
-one more residue, stays below 2^62, and smith reduces its updates only as
-often as that bound needs.  Only matrix products need more care, and
-matmul is the one routine that forms them.
+one more residue, stays below 2^62, and smith on numpy reduces its
+updates only as often as that bound needs.  Only matrix products need
+more care, and matmul is the one routine that forms them.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ _INT64_CHUNK = 2048
 # Above _ONE_LIMB_LIMIT, matmul cuts its right factor into _LIMB_BITS-bit limbs.
 _ONE_LIMB_LIMIT = 1 << 25
 _LIMB_BITS = 16
+# Cells (m n) up to which smith runs on Python ints: on the benchmark's calls their
+# total fell up to 1,024-2,048 cells, was flat to 4,096, and numpy won past it.
+_SMALL_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -210,27 +214,32 @@ def smith(
     W[k+1:, k+1:] is updated, by one rank-one row operation; no column
     operation is applied, as no later pivot reads row k.
 
-    q and the row multipliers are canonical, so after t updates entries
-    lie in (-t (p^N - 1)^2, p^N).  The live block is reduced when the next
-    update could pass -2^62 (after 1 update at 2^31, 3 at 5^13, about
-    48,000 at 5^10, every one on object arrays), and before it is tested
-    for zero or read.  The scan (_indivisible) needs no reduction, as
-    p^(pv+1) divides p^N.
-
     With P and Q the row and column permutations, L the stored lower
     part with the units on its diagonal and T the stored unit upper
     part, left = L^-1 P, so left_inv = P^T L is read off without an
     inversion, and right = Q T^-1.  Rows r.. of T are the identity's, r
-    the number of pivots, so T = [[T11, T12], [0, I]] and T^-1 =
-    [[T11^-1, -T11^-1 T12], [0, I]]: only the r x r block T11 is
-    inverted, by back substitution, and T12 enters through one product.
+    the number of pivots, so only the r x r block T11 is inverted.  Up to
+    _SMALL_CELLS cells the elimination runs on lists of Python ints
+    (_smith_lists), past it on numpy arrays (_smith_numpy), alike bit for bit.
     """
     a = mat(ctx, a)
+    top = ctx.precision if ceiling is None else ceiling
+    eliminate = _smith_lists if a.size <= _SMALL_CELLS else _smith_numpy
+    return eliminate(ctx, a, rows, cols, top)
+
+
+def _smith_numpy(ctx: Context, a: np.ndarray, rows: bool, cols: bool, top: int) -> Smith:
+    """smith on numpy arrays.  q and the row multipliers are canonical, so
+    after t updates entries lie in (-t (p^N - 1)^2, p^N).  The live block
+    is reduced when the next update could pass -2^62 (after 1 update at
+    2^31, 3 at 5^13, about 48,000 at 5^10, every one on object arrays),
+    and before it is tested for zero or read.  The scan (_indivisible)
+    needs no reduction, as p^(pv+1) divides p^N.  T11 is inverted by back
+    substitution, and T12 enters T^-1 through one product."""
     m, n = a.shape
     if rows:
         a = np.concatenate([a, eye(ctx, m)], axis=1)
     mod, p = ctx.modulus, ctx.p
-    top = ctx.precision if ceiling is None else ceiling
     # Updates between reductions of the live block (1 above 2^31).
     lazy = max(1, (_LAZY_BOUND - mod) // max(mod - 1, 1) ** 2)
     row_of, col_of = list(range(m)), list(range(n))
@@ -301,6 +310,80 @@ def smith(
         v_ = np.empty_like(upper)
         v_[col_of] = upper
     return Smith(u, uinv, v_, dvals, (m, n))
+
+
+def _smith_lists(ctx: Context, a: np.ndarray, rows: bool, cols: bool, top: int) -> Smith:
+    """smith on lists of canonical residues.  A row swap exchanges two list
+    entries; the pivot row's nonzero entries are gathered once, and only
+    rows with a nonzero multiplier are updated, at those entries.  Row
+    s < r of T^-1 is e_s - sum_(c > s) T[s, c] (row c of T^-1)."""
+    m, n = a.shape
+    mod, floor, pows = ctx.modulus, ctx.guard_floor, [ctx.p**e for e in range(top + 1)]
+    w = a.tolist()
+    w = [row + [0] * r + [1] + [0] * (m - r - 1) for r, row in enumerate(w)] if rows else w
+    row_of, col_of = list(range(m)), list(range(n))
+    dvals, k, pv = [], 0, 0
+    while k < min(m, n):
+        # The first entry of least valuation below top; valuations never fall.
+        best, at = top, None
+        for r in range(k, m):
+            row = w[r]
+            for c in range(k, n):
+                x = row[c]
+                if x % pows[best]:
+                    best, at = pv, (r, c)
+                    while not x % pows[best + 1]:
+                        best += 1
+                    if best == pv:
+                        break
+            if best == pv:
+                break
+        if at is None:
+            break
+        pv = best
+        if pv >= floor:
+            raise PrecisionExhausted(f"pivot valuation {pv} inside guard band [{floor}, {top})")
+        (i, j), pk = at, pows[pv]
+        w[k], w[i], row_of[k], row_of[i] = w[i], w[k], row_of[i], row_of[k]
+        col_of[k], col_of[j] = col_of[j], col_of[k]
+        for row in w if j != k else ():
+            row[k], row[j] = row[j], row[k]
+        pivot = w[k]
+        unit = pivot[k] = pivot[k] // pk
+        if unit != 1:
+            inv = pow(unit, -1, mod)
+            pivot[k + 1 :] = [x * inv % mod for x in pivot[k + 1 :]]
+        hits = [row for row in w[k + 1 :] if row[k]]
+        nz = [(c, x) for c, x in enumerate(pivot[k + 1 :], k + 1) if x] if hits else ()
+        for row in hits:
+            q = row[k] = row[k] // pk
+            for c, x in nz:
+                row[c] = (row[c] - q * x) % mod
+        if cols and pv:
+            pivot[k + 1 : n] = [x // pk for x in pivot[k + 1 : n]]
+        dvals.append(pv)
+        k += 1
+    u = uinv = right = None
+    if rows:
+        u = np.array([row[n:] for row in w], dtype=ctx.dtype).reshape(m, m)
+        lower = [  # row r of L: its stored part, then row r of the identity past column k
+            w[r][: min(r + 1, k)] + [0] * (r - k) + [1] * (r >= k) + [0] * (m - r - 1)
+            for r in sorted(range(m), key=row_of.__getitem__)
+        ]
+        uinv = np.array(lower, dtype=ctx.dtype).reshape(m, m)
+    if cols:
+        upper = [[0] * s + [1] + [0] * (n - s - 1) for s in range(n)]
+        for s in range(k - 1, -1, -1):
+            t = w[s]
+            out = upper[s][: s + 1] + [-x for x in t[s + 1 : n]]
+            for c in range(s + 1, k):
+                x, row = t[c], upper[c]
+                for cc in range(c + 1, n) if x else ():
+                    out[cc] -= x * row[cc]
+            upper[s] = [x % mod for x in out]
+        upper = [upper[s] for s in sorted(range(n), key=col_of.__getitem__)]
+        right = np.array(upper, dtype=ctx.dtype).reshape(n, n)
+    return Smith(u, uinv, right, dvals, (m, n))
 
 
 def solve(ctx: Context, a, b, sm: Smith | None = None):

@@ -18,10 +18,14 @@ That gives the search its shape:
     mod-p image makes a negative answer definitive as well, while
     seeded sampling of a larger one ends in Undecided on exhaustion.
 
-Stable isomorphism pads both sides with free modules of matching rank.
-Krull-Schmidt holds for finitely generated modules over the complete
-local ring Zp[G], so free summands cancel: one definitive answer at the
-minimal compatible padding settles every larger padding too.
+Stable isomorphism needs no padding.  Krull-Schmidt holds for
+Zp[G]-lattices (Zp is complete and Zp[G] is local, so Zp[G] is
+indecomposable; Curtis and Reiner, Methods of Representation Theory I,
+section 6), so free summands cancel: with M' and N' without free
+summands, M' + Zp[G]^a = N' + Zp[G]^b exactly when a = b and M' = N'.
+Both sides are stripped of their free summands, each found by a norm
+test without a hom space (krull_schmidt_note), and one search compares
+the complements at the stripped size.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .arith import norm_element
 from .cohomology import tate
 from .config import IsoSearchConfig
 from .errors import IllDefinedHom, NotAUnit, PrecisionExhausted, PreconditionViolated
@@ -40,7 +45,6 @@ from .modules import (
     _canon_rows,
     _Model,
     _orbits,
-    direct_sum,
     free_module,
     kernel_of,
     minimal_generators,
@@ -71,7 +75,11 @@ class Iso:
 
 @dataclass(frozen=True)
 class StableIso:
-    """Isomorphism after padding: first + pad_first free = second + pad_second free."""
+    """Isomorphism after padding: first + pad_first free = second + pad_second free.
+
+    iso relates the complements of the free summands of first and second
+    (krull_schmidt_note), not the padded modules.
+    """
 
     pad_first: int
     pad_second: int
@@ -256,22 +264,16 @@ def _search_iso(m1: PresentedModule, m2: PresentedModule, search):
     )
 
 
-def _padded(module: PresentedModule, copies: int) -> PresentedModule:
-    if copies == 0:
-        return module
-    return direct_sum(module, free_module(module.cfg, copies)).module
-
-
 def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
     """StableIso, NotStablyIsomorphic, or Undecided for torsion-free modules.
 
     Padding cannot change cohomology or the rank mod the group order,
-    so mismatches there are definitive negatives.  Otherwise the
-    minimal compatible padding goes to the search of modules_isomorphic
-    without its screens: the padded modules are torsion-free of equal
-    rank, and their Tate groups are those compared above.  By
-    Krull-Schmidt cancellation its definitive answers (either way)
-    transfer to all larger paddings.
+    so mismatches there are definitive negatives; a rank gap past
+    search.max_free_rank copies of the group ring is Undecided.  Else
+    both sides lose their free summands, s1 and s2 of them, and by
+    Krull-Schmidt cancellation the complements decide: different ranks
+    are a definitive negative, else the search of modules_isomorphic
+    without its screens.  The pads are (max(0, s2 - s1), max(0, s1 - s2)).
     """
     if search is None:
         search = IsoSearchConfig()
@@ -279,8 +281,7 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
         raise PreconditionViolated("stable comparison is defined for torsion-free modules")
     if m1.cfg != m2.cfg:
         return NotStablyIsomorphic("group-ring parameters differ")
-    cfg = m1.cfg
-    d = cfg.order
+    d = m1.cfg.order
     r1, r2 = m1.zp_rank(), m2.zp_rank()
     if (r1 - r2) % d != 0:
         return NotStablyIsomorphic(
@@ -293,55 +294,51 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
             f"cohomology differs at level {level}, degree {degree}; "
             "free padding cannot change it"
         )
-    pads = sorted(
-        (
-            (a, b)
-            for a in range(search.max_free_rank + 1)
-            for b in range(search.max_free_rank + 1)
-            if r1 + a * d == r2 + b * d
-        ),
-        key=lambda ab: (ab[0] + ab[1], ab[0]),
-    )
-    if not pads:
+    if abs(r1 - r2) > search.max_free_rank * d:
         return Undecided(
             f"rank gap {abs(r1 - r2)} exceeds the padding budget "
             f"max_free_rank={search.max_free_rank}"
         )
-    last = None
-    for a, b in pads:
-        res = _search_iso(_padded(m1, a), _padded(m2, b), search)
-        if isinstance(res, Iso):
-            return StableIso(a, b, res)
-        if isinstance(res, NotIsomorphic):
-            return NotStablyIsomorphic(
-                f"padding ({a}, {b}) gives non-isomorphic modules ({res.reason}); "
-                "by Krull-Schmidt cancellation of free summands no other "
-                "padding can succeed"
-            )
-        last = res
-    return Undecided(f"all paddings up to {search.max_free_rank} inconclusive: {last.reason}")
+    k1, k2 = krull_schmidt_note(m1), krull_schmidt_note(m2)
+    c1, c2 = k1.complement, k2.complement
+    if c1.zp_rank() != c2.zp_rank():
+        ranks = f"{c1.zp_rank()} and {c2.zp_rank()}"
+        return NotStablyIsomorphic(f"the complements of the free summands have ranks {ranks}")
+    a, b = max(0, k2.free_rank - k1.free_rank), max(0, k1.free_rank - k2.free_rank)
+    res = _search_iso(c1, c2, search)
+    if isinstance(res, Iso):
+        return StableIso(a, b, res)
+    if isinstance(res, NotIsomorphic):
+        return NotStablyIsomorphic(
+            f"padding ({a}, {b}) gives non-isomorphic modules ({res.reason}); "
+            "by Krull-Schmidt cancellation of free summands no other "
+            "padding can succeed"
+        )
+    return Undecided(f"the complements of the free summands are inconclusive: {res.reason}")
 
 
 def krull_schmidt_note(module: PresentedModule) -> FreeSummandReport:
     """Split off free rank-one summands until none remain.
 
-    A hom rho to the group ring splits off a free summand exactly when
-    it is surjective, which by Nakayama happens exactly when the
-    composite with the residue map Zp[G] -> Z/p (augmentation mod p) is
-    nonzero.  That composite is linear in rho, so scanning a spanning
-    set of the hom space decides existence outright; the scan is
-    deterministic and a negative answer is definitive.
+    The group ring Lambda is self-dual: Hom(M, Lambda) -> Hom(M, Zp),
+    rho -> (coefficient of 1 in rho), has inverse f -> rho_f(x) =
+    sum_g f(g^-1 x) g, and the augmentation of rho_f(x) is f(N x), N the
+    norm.  A hom to Lambda splits off a free summand exactly when it is
+    onto, by Nakayama exactly when its augmentation is a unit somewhere.
+    The f kill torsion, so the free coordinates' functionals span them:
+    M has a free summand exactly when a free coordinate's row i of N's
+    matrix holds a unit mod p, and then rho_f for f = e_i^* has row i of
+    sigma^(d - t) as its row t.  A negative answer is definitive.
     """
     cfg = module.cfg
     lam = free_module(cfg, 1, names=["f"])
-    p = cfg.p
-    free_rank = 0
-    current = module
+    back = -np.arange(cfg.order) % cfg.order
+    free_rank, current = 0, module
     while True:
-        basis = hom_space_basis(current, lam)
-        hits = np.flatnonzero((np.sum(basis, axis=1) % p).any(axis=1)) if basis else ()
+        free = [i for i, q in enumerate(current.moduli) if q is None]
+        hits = np.argwhere(current.act_matrix(norm_element(cfg))[free] % cfg.p)
         if not len(hits):
             return FreeSummandReport(free_rank, current)
-        rho = ModuleHom(current, lam, basis[hits[0]])
-        current = kernel_of(rho).module
+        rho = current._powers[free[hits[0][0]]][:, back].T
+        current = kernel_of(ModuleHom(current, lam, rho)).module
         free_rank += 1

@@ -21,7 +21,11 @@ the search as it tried every nonzero mod-p combination of an enumerated
 span (this one calls the package's pivot_cols_mod_p), and
 submodule_by_probe, a submodule as it was built by a probe elimination
 and a second one at the raised precision, even where that precision
-was N itself.  herbrand_log
+was N itself, and free_summands_by_hom_scan and
+stably_isomorphic_by_padding, the free summands as a scan of
+Hom(M, Lambda) found them and the stable comparison as it searched the
+padded modules (these two call the package's hom spaces, kernels and
+isomorphism search).  herbrand_log
 predicts the ratio of Tate group orders from ranks alone, and
 diagonal_matrix writes out the diagonal a Smith form stands for.
 """
@@ -38,9 +42,21 @@ import numpy as np
 from cyclomod import linalg
 from cyclomod.arith import sigma_power, subgroup_norm
 from cyclomod.errors import CyclomodError, PrecisionExhausted
-from cyclomod.config import GroupConfig
+from cyclomod.config import GroupConfig, IsoSearchConfig
+from cyclomod.oracle import (
+    FreeSummandReport,
+    Iso,
+    StableIso,
+    _search_iso,
+    _tate_mismatch,
+    hom_space_basis,
+)
+from cyclomod.verdicts import NotIsomorphic, NotStablyIsomorphic, Undecided
 from cyclomod.modules import (
     ModuleHom,
+    direct_sum,
+    free_module,
+    kernel_of,
     PresentedModule,
     Submodule,
     _canon_rows,
@@ -713,3 +729,48 @@ def submodule_by_probe(ambient, elements, names=None):
         lift[piv, :] = linalg.invert(ctx, proj[:, piv])
     sub = PresentedModule._derived(cfg, names, model, proj, lift)
     return Submodule(sub, ModuleHom(sub, ambient, linalg.matmul(ctx, ev, lift), check=False))
+
+
+def free_summands_by_hom_scan(module):
+    """oracle.krull_schmidt_note as it found each free summand: the first
+    member of a spanning set of Hom(M, Lambda) whose augmentation is
+    nonzero mod p is onto, and its kernel is the next complement."""
+    cfg = module.cfg
+    lam = free_module(cfg, 1, names=["f"])
+    free_rank, current = 0, module
+    while True:
+        basis = hom_space_basis(current, lam)
+        hits = np.flatnonzero((np.sum(basis, axis=1) % cfg.p).any(axis=1)) if basis else ()
+        if not len(hits):
+            return FreeSummandReport(free_rank, current)
+        current = kernel_of(ModuleHom(current, lam, basis[hits[0]])).module
+        free_rank += 1
+
+
+def stably_isomorphic_by_padding(m1, m2, search=None):
+    """oracle.stably_isomorphic as it searched the padded modules M + Lambda^a
+    and N + Lambda^b, for each compatible (a, b) up to max_free_rank in
+    order of a + b, until a definitive answer."""
+    search = search or IsoSearchConfig()
+    d = m1.cfg.order
+    r1, r2 = m1.zp_rank(), m2.zp_rank()
+    if (r1 - r2) % d != 0:
+        return NotStablyIsomorphic("rank difference")
+    if _tate_mismatch(m1, m2):
+        return NotStablyIsomorphic("cohomology")
+    bound = range(search.max_free_rank + 1)
+    pads = sorted(
+        ((a, b) for a in bound for b in bound if r1 + a * d == r2 + b * d),
+        key=lambda ab: (ab[0] + ab[1], ab[0]),
+    )
+
+    def padded(module, copies):
+        return direct_sum(module, free_module(module.cfg, copies)).module if copies else module
+
+    for a, b in pads:
+        res = _search_iso(padded(m1, a), padded(m2, b), search)
+        if isinstance(res, Iso):
+            return StableIso(a, b, res)
+        if isinstance(res, NotIsomorphic):
+            return NotStablyIsomorphic(res.reason)
+    return Undecided("padding budget")

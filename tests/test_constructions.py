@@ -48,6 +48,7 @@ from cyclomod.modules import (
     zp_trivial,
 )
 from cyclomod.oracle import Iso, StableIso, modules_isomorphic, stably_isomorphic
+from cyclomod.suites import _pipeline_input
 from cyclomod.verdicts import NotIsomorphic
 
 from _oracles import cocycle_first_failure
@@ -289,77 +290,28 @@ def test_double_connecting_shift_reaches_j():
 # -- the kernel-of-projection pipeline -------------------------------------
 
 
-def ideal_only(cfg):
-    ideal = augmentation_ideal(cfg)
-    return Theorem1Input(
-        module=ideal, free_witness=(), ideal_witness=ideal.generator(0), rank=0
-    )
-
-
-def ideal_plus_free(cfg):
-    ideal = augmentation_ideal(cfg)
-    lam = free_module(cfg, 1, names=["f"])
-    ds = direct_sum(ideal, lam)
-    return Theorem1Input(
-        module=ds.module,
-        free_witness=(ds.injections[1].apply(lam.generator(0)),),
-        ideal_witness=ds.injections[0].apply(ideal.generator(0)),
-        rank=1,
-    )
-
-
-def j1_plus_ideal(cfg):
-    jm = j_module(cfg, 1)
-    ideal = augmentation_ideal(cfg)
-    ds = direct_sum(jm, ideal)
-    # generator 0 of the J-module is p * 1, spanning a free sublattice
-    # of finite index inside the J summand
-    return Theorem1Input(
-        module=ds.module,
-        free_witness=(ds.injections[0].apply(jm.generator(0)),),
-        ideal_witness=ds.injections[1].apply(ideal.generator(0)),
-        rank=1,
-    )
-
-
-def j1_plus_ideal_plus_free(cfg):
-    jm = j_module(cfg, 1)
-    ideal = augmentation_ideal(cfg)
-    lam = free_module(cfg, 1, names=["f"])
-    ds = direct_sum(jm, ideal, lam)
-    return Theorem1Input(
-        module=ds.module,
-        free_witness=(
-            ds.injections[0].apply(jm.generator(0)),
-            ds.injections[2].apply(lam.generator(0)),
-        ),
-        ideal_witness=ds.injections[1].apply(ideal.generator(0)),
-        rank=2,
-    )
-
-
 # Expected kernels, derived before running the pipeline: every class of
 # the quotient has a representative (c, 0), and (c, 0) ~ (c', 0) exactly
 # when c - c' lies in (augmentation ideal) * x_0.  So the kernel is
 # C_1 / I x_0: for C = I that is I/I^2 = Z/p^n; for C = J_1 (+) I at
 # n = 1 the free quotient adds a Z/p factor, giving (Z/p)^2.
 LEMMA2_CASES = [
-    ("ideal.p3n1", ideal_only, C31, (1,), 2),
-    ("ideal.p3n2", ideal_only, C32, (2,), 8),
-    ("ideal.p5n1", ideal_only, C51, (1,), 4),
-    ("ideal+free.p3n1", ideal_plus_free, C31, (1,), 2),
-    ("J1+ideal.p3n1", j1_plus_ideal, C31, (1, 1), 2),
-    ("J1+ideal.p5n1", j1_plus_ideal, C51, (1, 1), 4),
+    ("ideal.p3n1", "ideal", C31, (1,), 2),
+    ("ideal.p3n2", "ideal", C32, (2,), 8),
+    ("ideal.p5n1", "ideal", C51, (1,), 4),
+    ("ideal+free.p3n1", "ideal+free", C31, (1,), 2),
+    ("J1+ideal.p3n1", "J1+ideal", C31, (1, 1), 2),
+    ("J1+ideal.p5n1", "J1+ideal", C51, (1, 1), 4),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,builder,cfg,kernel_invariants,rank_b",
+    "name,shape,cfg,kernel_invariants,rank_b",
     LEMMA2_CASES,
     ids=[case[0] for case in LEMMA2_CASES],
 )
-def test_pipeline_kernel_and_rank(name, builder, cfg, kernel_invariants, rank_b):
-    res = lemma2_pipeline(builder(cfg))
+def test_pipeline_kernel_and_rank(name, shape, cfg, kernel_invariants, rank_b):
+    res = lemma2_pipeline(_pipeline_input(shape, cfg))
     assert res.kernel.module.torsion_invariants() == kernel_invariants
     assert res.b.zp_rank() == rank_b == cfg.order - 1
     levels = {(deg, lvl) for deg in (0, 1) for lvl in range(1, cfg.n + 1)}
@@ -389,22 +341,22 @@ def test_pipeline_rejects_wrong_rank():
 # -- end-to-end verification -----------------------------------------------
 
 THEOREM1_CASES = [
-    ("ideal.p3n1", ideal_only, C31, ((), ()), (0, 0)),
-    ("ideal.p3n2", ideal_only, C32, ((), ()), (0, 0)),
-    ("ideal.p5n1", ideal_only, C51, ((), ()), (0, 0)),
-    ("ideal+free.p3n1", ideal_plus_free, C31, ((), ()), (1, 0)),
-    ("J1+ideal.p3n1", j1_plus_ideal, C31, ((1,), (1,)), (0, 0)),
-    ("J1+ideal+free.p3n1", j1_plus_ideal_plus_free, C31, ((1,), (1,)), (1, 0)),
+    ("ideal.p3n1", "ideal", C31, ((), ()), (0, 0)),
+    ("ideal.p3n2", "ideal", C32, ((), ()), (0, 0)),
+    ("ideal.p5n1", "ideal", C51, ((), ()), (0, 0)),
+    ("ideal+free.p3n1", "ideal+free", C31, ((), ()), (1, 0)),
+    ("J1+ideal.p3n1", "J1+ideal", C31, ((1,), (1,)), (0, 0)),
+    ("J1+ideal+free.p3n1", "J1+ideal+free", C31, ((1,), (1,)), (1, 0)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,builder,cfg,h2,pads",
+    "name,shape,cfg,h2,pads",
     THEOREM1_CASES,
     ids=[case[0] for case in THEOREM1_CASES],
 )
-def test_theorem1_chain(name, builder, cfg, h2, pads):
-    report = theorem1_verify(builder(cfg))
+def test_theorem1_chain(name, shape, cfg, h2, pads):
+    report = theorem1_verify(_pipeline_input(shape, cfg))
     assert report.passed
     assert report.h2_invariants == h2
     assert report.stripped_free_rank == 0

@@ -3,6 +3,7 @@
 import ast
 import random
 import weakref
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -204,8 +205,14 @@ def test_lazy_entries_stay_within_the_bound(monkeypatch, p, precision):
 
     monkeypatch.setattr(linalg, "_indivisible", bounded)
     a = linalg.mat(c, [[min(i, j) + (1 if i == j else -1) for j in range(8)] for i in range(8)])
-    sm = _smith_against_full_width(c, a, True, True, None)
+    sm = _smith_against_full_width(c, a, True, True, None, smith=_numpy_path)
     assert sm.dvals == [0] * 8
+
+
+def _numpy_path(c, a, rows=True, cols=True, ceiling=None):
+    """smith's numpy path, whatever the input's size (only it reduces lazily)."""
+    top = c.precision if ceiling is None else ceiling
+    return linalg._smith_numpy(c, linalg.mat(c, a), rows, cols, top)
 
 
 def _smith_against_full_width(c, a, rows, cols, ceiling, smith=linalg.smith):
@@ -334,6 +341,104 @@ def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path)
     assert any(n >= 5 * m > 0 for _, (m, n), _ in shapes)
     assert {(25, 650), (50, 625)} <= {shape for _, shape, _ in shapes}
     assert any(ceiling is not None for _, _, ceiling in shapes)
+
+
+# (p, N): four int64 contexts and 11^11, which takes the object path.
+PATH_CONTEXTS = [(3, 12), (2, 12), (5, 10), (7, 11), (11, 11)]
+# Shapes on both sides of the bound: (45, 45) and (64, 32) hold 2,025 and
+# 2,048 cells, (41, 50) and (9, 228) 2,050 and 2,052.
+PATH_SHAPES = [
+    (0, 3), (1, 1), (5, 9), (8, 8), (17, 9), (3, 40), (45, 45), (64, 32), (41, 50), (9, 228)
+]
+
+
+def _path_input(c, rng, kind, m, n):
+    """An m x n input of one kind: sparse, dense, a rank-deficient product
+    whose live block turns zero early, every entry divisible by p^2, or
+    valuations around the guard band and the ceiling."""
+
+    def matrix(rows, cols, valuations, density=1.0):
+        flat = [
+            rng.randrange(1, c.modulus) * c.p ** rng.choice(valuations)
+            if rng.random() < density
+            else 0
+            for _ in range(rows * cols)
+        ]
+        return linalg.mat(c, np.array(flat, dtype=object).reshape(rows, cols))
+
+    if kind == "low-rank":
+        r = rng.randrange(0, min(m, n) // 2 + 1)
+        return linalg.matmul(c, matrix(m, r, range(2)), matrix(r, n, range(2)))
+    return matrix(m, n, *{
+        "sparse": (range(3), 0.15),
+        "dense": (range(3),),
+        "divisible": (range(2, 5),),
+        "guard": (range(c.guard_floor - 2, c.guard_floor + 5), 0.5),
+    }[kind])
+
+
+def _both_paths(c, a, rows, cols, top):
+    out = []
+    for path in (linalg._smith_lists, linalg._smith_numpy):
+        try:
+            out.append(path(c, a.copy(), rows, cols, top))
+        except PrecisionExhausted as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("p, precision", PATH_CONTEXTS)
+@pytest.mark.parametrize("kind", ["sparse", "dense", "low-rank", "divisible", "guard"])
+def test_the_two_smith_paths_agree_bit_for_bit(p, precision, kind):
+    # The lists path and the numpy path on the same inputs, with every
+    # combination of transforms: equal dvals and transforms, values and
+    # dtype, or the same guard-band message.  The guard inputs run as
+    # _submodule runs them, at a raised precision with ceiling N and a
+    # raised guard, so that the band stays [N - 2, N).
+    rng = random.Random(f"{p}.{precision}.{kind}")
+    c, top = linalg.Context(p, precision, 2), precision
+    if kind == "guard":
+        c = linalg.Context(p, precision + 3, 5)
+    outcomes = set()
+    for m, n in PATH_SHAPES:
+        a = _path_input(c, rng, kind, m, n)
+        for rows, cols in product((True, False), repeat=2):
+            got, want = _both_paths(c, a, rows, cols, top)
+            if isinstance(want, str):
+                assert got == want
+                outcomes.add("raised")
+                continue
+            assert got.dvals == want.dvals and got.shape == want.shape
+            for name in ("left", "left_inv", "right"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x.dtype == y.dtype == c.dtype and np.array_equal(x, y)
+            assert (got.left is None, got.right is None) == (not rows, not cols)
+            outcomes.add("stopped" if len(got.dvals) < min(m, n) else "full")
+    assert ("raised" in outcomes) == (kind == "guard")
+    assert "stopped" in outcomes or kind in ("dense", "divisible")
+
+
+def test_smith_routes_by_the_cell_bound(monkeypatch):
+    # At the bound the lists path runs, one cell past it the numpy path.
+    routed = []
+
+    def recording(name):
+        real = getattr(linalg, name)
+
+        def path(*args):
+            routed.append(name)
+            return real(*args)
+
+        return path
+
+    for name in ("_smith_lists", "_smith_numpy"):
+        monkeypatch.setattr(linalg, name, recording(name))
+    c = ctx()
+    for cells in (linalg._SMALL_CELLS, linalg._SMALL_CELLS + 1):
+        linalg.smith(c, linalg.mat(c, np.arange(cells).reshape(1, cells)))
+    assert routed == ["_smith_lists", "_smith_numpy"]
 
 
 def test_solve_roundtrip_and_unsolvable():
