@@ -114,8 +114,8 @@ class IsoSearchConfig:
     enumeration_bound is a dimension: when the mod-p solution space of a
     constraint system has dimension at most this, candidates are
     enumerated exhaustively; otherwise max_samples seeded random
-    combinations are tried.  max_free_rank caps the padding used by the
-    stable isomorphism search.
+    combinations are tried.  max_free_rank is the rank gap, in copies of
+    the group ring, past which stably_isomorphic answers Undecided.
     """
 
     seed: int = 0

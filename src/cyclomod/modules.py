@@ -17,11 +17,12 @@ A module given by a user presentation is normalized once, by Smith
 elimination of its expanded relation lattice.  Every derived module is
 built from a lattice in the model of an existing one: a submodule is
 (span of its generators' sigma-orbits + torsion lattice) / torsion
-lattice, eliminated at the ambient's model size; kernels and fixed
-points are spanned by saturated kernel vectors and the torsion lattice,
-with no orbits: pivot-free directions of a Smith form, so congruence
-shadows of valuation N - d never enter a structural lattice.  A derived
-module is its model; its relation array is synthesized on first read.
+lattice, eliminated at the ambient's model size on the generators alone
+when their span is exactly sigma-stable; kernels and fixed points are
+generated by saturated kernel vectors, pivot-free directions of a Smith
+form, so congruence shadows of valuation N - d never enter a structural
+lattice.  A derived module is its model; its relation array is
+synthesized on first read.
 """
 
 from __future__ import annotations
@@ -655,15 +656,19 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
 
     With ev the m x (k p^n) matrix of the elements' sigma-orbits and T
     the ambient's torsion columns, the submodule is (span(ev) + T) / T
-    inside the ambient model, so the work is done at model size m:
+    inside the ambient model, so the work is done at model size m.  The
+    steps run on C = X, the elements' m x k coordinates, and again on
+    C = ev when step 1 meets the guard band or a lift that is no module,
+    or the lattice of [X | T] is not exactly sigma-stable (rows of
+    left sigma B past s nonzero, or row i not divisible by p^d_i).
 
-    1. [ev | T] is eliminated once, on a model of the ambient that is a
-       module at a raised precision N' (_centered_lift, else
-       _renormalized_lift), counting residues of valuation >= N as zeros
-       (the config precision policy).
+    1. [C | T] is eliminated once, on a model of the ambient that is a
+       module at a raised precision N' (_centered_lift, else on the
+       orbits _renormalized_lift), counting residues of valuation >= N
+       as zeros (the config precision policy).
        The pivot columns of U^-1 scaled by p^d_i form a basis B of the
-       lattice, and dividing the rows of U [ev | T] by p^d_i gives the
-       B-coordinates of ev and T; at N itself the division would lose
+       lattice, and dividing the rows of U [C | T] by p^d_i gives the
+       B-coordinates of C and T; at N itself the division would lose
        up to g = max d_i digits.  A probe at N finds g and raises on
        guard-band pivots.  With no torsion in the ambient (e = 0, see
        step 2) it keeps its row transforms, and when it finds g = 0 as
@@ -671,12 +676,13 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
        model when that is a module at N; no lift is made.
     2. A Smith form of T's coordinates gives the moduli, with sigma on
        the submodule proj2 (B^-1 sigma B) lift2 and proj = proj2 E, E the
-       coordinates of ev.  The submodule's torsion lies in the ambient's,
-       so its exponents are at most the ambient's largest, e; pivots
-       above e are zeros, and the transforms lose up to e digits more.
-       Hence N' = N + g + e.
+       coordinates of C, expanded to the orbits when C = X.  The
+       submodule's torsion lies in the ambient's, so its exponents are
+       at most the ambient's largest, e; pivots above e are zeros, and
+       the transforms lose up to e digits more.  Hence N' = N + g + e.
     3. lift, the right inverse of proj, inverts proj on columns that are
-       independent mod p.
+       independent mod p; the inclusion is B lift2 when C = X, else
+       ev[:, pivots] lift[pivots].
 
     The result has one generator per element; its relation array is
     synthesized from the model on first read.
@@ -690,48 +696,43 @@ def submodule_from_elements(ambient: PresentedModule, elements, names=None) -> S
     return _submodule(ambient, np.concatenate([e.column() for e in elements], axis=1), names)
 
 
-def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None, stable=False):
+def _submodule(ambient: PresentedModule, columns: np.ndarray, names=None) -> Submodule:
     """submodule_from_elements on the m x k array of the elements'
-    canonical model coordinates.
-
-    stable says the columns and T span a sigma-stable lattice L (a
-    kernel's), so they stand for their orbits: [columns | T] alone is
-    eliminated, at N' on its centered lift when N' > N, proj is the orbit
-    expansion of the coordinates at the size of L and the inclusion is
-    B lift2 mod p^N.  Unless L is exactly sigma-stable there (the rows of
-    left sigma B past s vanish, row i is divisible by p^d_i) and the lift
-    is a module, the result is None.
-    """
+    canonical model coordinates: its own lattice, else its orbits."""
     cfg, ctx, d = ambient.cfg, ambient.ctx, ambient.cfg.order
-    k = columns.shape[1]
+    k, e_max = columns.shape[1], max(ambient.torsion_invariants(), default=0)
     if names is None:
         names = [f"y{j}" for j in range(k)]
-    ev = columns if stable else _orbits(ctx, ambient.sigma_matrix, [columns], d)
-
-    # Step 1.  The eliminations keep the guard floor N - guard.
-    stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
-    e_max = max(ambient.torsion_invariants(), default=0)
-    sm = linalg.smith(ctx, stacked, rows=not e_max, cols=False)
-    g = max(sm.dvals, default=0)
-    if g + e_max == 0 and _is_module(ctx, ambient.sigma_matrix, ambient.moduli, d):
-        hi, sigma_src, lattice = ctx, ambient.sigma_matrix, stacked
-    else:
-        precision = cfg.precision + g + e_max
-        lifted = _centered_lift(ambient, columns, precision)
-        if lifted is None and stable:
-            return None
-        src, sigma_src, moduli, cols = lifted or _renormalized_lift(ambient, columns, precision)
-        ev_src = cols if stable else _orbits(src, sigma_src, [cols], d)
-        lattice = linalg.hstack(src, [ev_src, _torsion_columns(src, moduli)])
-        hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
-        sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
-    s = len(sm.dvals)
-    scale = np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
-    basis = sm.left_inv[:, :s] * scale % hi.modulus
+    for stable in (True, False):
+        # Step 1.  The eliminations keep the guard floor N - guard.
+        ev = columns if stable else _orbits(ctx, ambient.sigma_matrix, [columns], d)
+        stacked = linalg.hstack(ctx, [ev, ambient.torsion_column_matrix()])
+        try:
+            sm = linalg.smith(ctx, stacked, rows=not e_max, cols=False)
+            g = max(sm.dvals, default=0)
+            if g + e_max == 0 and _is_module(ctx, ambient.sigma_matrix, ambient.moduli, d):
+                hi, sigma_src, lattice = ctx, ambient.sigma_matrix, stacked
+            else:
+                prec = cfg.precision + g + e_max
+                lifted = _centered_lift(ambient, columns, prec)
+                if lifted is None and stable:
+                    continue
+                src, sigma_src, moduli, cols = lifted or _renormalized_lift(ambient, columns, prec)
+                ev_src = cols if stable else _orbits(src, sigma_src, [cols], d)
+                lattice = linalg.hstack(src, [ev_src, _torsion_columns(src, moduli)])
+                hi = linalg.Context(cfg.p, src.precision, src.precision - cfg.precision + cfg.guard)
+                sm = linalg.smith(hi, lattice, cols=False, ceiling=cfg.precision)
+        except PrecisionExhausted:
+            if not stable:
+                raise
+            continue
+        s = len(sm.dvals)
+        scale = np.array([cfg.p**v for v in sm.dvals], dtype=hi.dtype)
+        basis = sm.left_inv[:, :s] * scale % hi.modulus
+        image = linalg.matmul(hi, sm.left[: None if stable else s], linalg.matmul(hi, sigma_src, basis))
+        if not (stable and (image[s:].any() or (image[:s] % scale[:, None]).any())):
+            break
     mid = linalg.Context(cfg.p, cfg.precision + e_max, cfg.guard + e_max)
-    image = linalg.matmul(hi, sm.left[: None if stable else s], linalg.matmul(hi, sigma_src, basis))
-    if stable and (image[s:].any() or (image[:s] % scale[:, None]).any()):
-        return None
     sigma_b = _divide_rows(hi, image[:s], sm.dvals, mid)
     coords = _divide_rows(hi, linalg.matmul(hi, sm.left[:s], lattice), sm.dvals, mid)
 
@@ -815,8 +816,7 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     none, it is the zero submodule on one generator (y0 by default), as
     submodule_from_elements builds it from the zero element.  With the
     source's torsion columns they span the sigma-stable lattice
-    {x : Hx in T}, which _submodule builds without their orbits (stable)
-    unless its lift is no module or not exactly sigma-stable.
+    {x : Hx in T}, built as every submodule is.
     """
     source = hom.source
     ctx, d = source.ctx, source.cfg.order
@@ -826,7 +826,7 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
     xs = xs[:, xs.any(axis=0)]
     if xs.shape[1]:
-        return _submodule(source, xs, names, stable=True) or _submodule(source, xs, names)
+        return _submodule(source, xs, names)
     names = ["y0"] if names is None else names
     zero = _Model((), linalg.zeros(ctx, 0, 0))
     sub = PresentedModule._derived(

@@ -537,11 +537,11 @@ def suite_prop5(instances=None, search: IsoSearchConfig | None = None) -> SuiteR
 
 
 def suite_theorem1(search: IsoSearchConfig | None = None) -> SuiteReport:
-    """End-to-end chain on the pipeline battery plus the padded case.
+    """End-to-end chain on six pipeline inputs, two with a free summand.
 
     Each case must produce a matching level diagram, matching top-level
     even cohomology, and a stable isomorphism between the double-syzygy
-    complement and the input, with padding within the search budget.
+    complement and the input, padded by at most max_free_rank copies of Lambda.
     """
     if search is None:
         search = IsoSearchConfig()

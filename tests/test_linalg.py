@@ -12,18 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomod import cli, cohomology, linalg
+from cyclomod.arith import norm_element, sigma_power
 from cyclomod.config import GroupConfig, IsoSearchConfig
-from cyclomod.constructions import Theorem1Input, j_module, lemma3_resolution, theorem1_verify
+from cyclomod.constructions import j_module, lemma3_resolution, theorem1_verify
 from cyclomod.errors import NotAUnit, PrecisionExhausted
 from cyclomod.fileio import save_file
-from cyclomod.modules import (
-    augmentation_ideal,
-    direct_sum,
-    free_module,
-    submodule_from_elements,
-    trivial_module,
-)
-from cyclomod.suites import random_presented_module
+from cyclomod.modules import augmentation_ideal, direct_sum, trivial_module
+from cyclomod.suites import _pipeline_input, random_presented_module
 
 from _oracles import (
     GuardBand,
@@ -34,6 +29,7 @@ from _oracles import (
     search_invertible_in_full,
     smith_full_width,
     solve_by_entry,
+    submodule_by_probe,
 )
 
 
@@ -281,24 +277,6 @@ def test_kernel_cols_on_each_kind_of_slot(p, precision):
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def _theorem1_chain(group):
-    """theorem1_verify on J1 + ideal + free, as the pipeline battery builds it."""
-    cfg = GroupConfig(*group)
-    jm, ideal = j_module(cfg, 1), augmentation_ideal(cfg)
-    lam = free_module(cfg, 1, names=["f"])
-    ds = direct_sum(jm, ideal, lam)
-    data = Theorem1Input(
-        module=ds.module,
-        free_witness=(
-            ds.injections[0].apply(jm.generator(0)),
-            ds.injections[2].apply(lam.generator(0)),
-        ),
-        ideal_witness=ds.injections[1].apply(ideal.generator(0)),
-        rank=2,
-    )
-    assert theorem1_verify(data, IsoSearchConfig(seed=1)).passed
-
-
 def _cohomology_maps(tmp_path):
     """`cohomology --maps` of J1 at C11, whose modulus 11^11 takes the object path."""
     path = str(tmp_path / "j1.json")
@@ -325,17 +303,23 @@ def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path)
         return _smith_against_full_width(c, a, rows, cols, ceiling, smith=real)
 
     monkeypatch.setattr(linalg, "smith", checked)
-    _theorem1_chain((3, 2, 12))
-    _theorem1_chain((2, 3, 12))
+    for group in ((3, 2, 12), (2, 3, 12)):
+        data = _pipeline_input("J1+ideal+free", GroupConfig(*group))
+        assert theorem1_verify(data, IsoSearchConfig(seed=1)).passed
     _cohomology_maps(tmp_path)
-    # The lemma-3 resolution at C25: the 25 x 650 orbit lattice and the
-    # raised-precision calls with a ceiling.  Its kernels no longer expand
-    # orbits, so the 50 x 625 orbit lattice of the 25 kernel vectors of
-    # the middle map is eliminated through submodule_from_elements.
-    res = lemma3_resolution(GroupConfig(5, 2, 10), 1)
-    lam2, ctx = res.free_pair, res.free_pair.ctx
-    kernel = linalg.saturated_kernel_cols(ctx, res.middle.matrix)
-    submodule_from_elements(lam2, [lam2.element_from_model_coords(x) for x in kernel.T])
+    # The lemma-3 resolution at C25, and the wide numpy-path lattices its
+    # element sets no longer build, since they take their own lattice:
+    # the 25 x 650 orbits of J_1's 26 elements of Lambda and the 50 x 625
+    # orbits of the 25 kernel vectors of the middle map, eliminated as the
+    # orbit route eliminates them (a probe, then the lattice at a raised
+    # precision with a ceiling).
+    c25 = GroupConfig(5, 2, 10)
+    res = lemma3_resolution(c25, 1)
+    lam, lam2 = res.free_line, res.free_pair
+    j1 = [lam.element([sigma_power(c25, t) * c25.p]) for t in range(c25.order)]
+    submodule_by_probe(lam, j1 + [lam.element([norm_element(c25)])])
+    kernel = linalg.saturated_kernel_cols(lam2.ctx, res.middle.matrix)
+    submodule_by_probe(lam2, [lam2.element_from_model_coords(x) for x in kernel.T])
     assert len(shapes) > 300
     assert any(dtype is object for dtype, _, _ in shapes)
     assert any(n >= 5 * m > 0 for _, (m, n), _ in shapes)

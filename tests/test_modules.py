@@ -574,6 +574,67 @@ def test_submodules_match_the_probe_construction_on_the_object_path():
     _assert_same_submodule(kernel_of(hom), _kernel_by_probe(hom))
 
 
+def _stable_sets(cfg, ambient, rng=None):
+    """Element sets whose span is sigma-stable: J_e for e = 0 .. n + 1
+    and the ideal in Lambda (no rng), or the full sigma-orbit of a random
+    element of the ambient, times p, and with p x added."""
+    powers = [sigma_power(cfg, t) for t in range(cfg.order)]
+    if rng is None:
+        norm = ambient.element([norm_element(cfg)])
+        sets = [[ambient.element([s * cfg.p**e]) for s in powers] + [norm] for e in range(cfg.n + 2)]
+        return sets + [[ambient.element([s - powers[0]]) for s in powers[1:]]]
+    x = ambient.element_from_model_coords([rng.randrange(cfg.modulus) for _ in ambient.moduli])
+    orbit = [x.act(s) for s in powers]
+    return [orbit, [cfg.p * y for y in orbit], orbit + [cfg.p * x]]
+
+
+@pytest.mark.filterwarnings("ignore:p = 2")
+@pytest.mark.parametrize("group", PROBE_GROUPS + [(11, 1, 11)])
+def test_sigma_stable_element_sets_take_their_own_lattice(group, monkeypatch):
+    # Each set is built on its own lattice, with the frozen orbit
+    # construction's moduli, sigma, lift and inclusion bit for bit, and
+    # its proj too on the generators' columns (all that relations reads)
+    # and below the guard band elsewhere, where the two eliminations may
+    # leave different noise.  Ambients: random modules with and without a
+    # trivial Z/p^e summand, and Lambda^2; C11 at 11^11 is the object
+    # path, on Lambda^2 alone.
+    c = GroupConfig(*group)
+    routes = _routes(monkeypatch, caller="submodule_from_elements")
+    lam = free_module(c, 1)
+    cases = [(lam, elements) for elements in _stable_sets(c, lam)]
+    for seed in range(1 if c.p == 11 else 3):
+        rng = random.Random(seed)
+        ambients = [free_module(c, 2)]
+        if c.p != 11:
+            base = random_presented_module(c, rng)
+            ambients += [base, direct_sum(base, trivial_module(c, 1 + seed)).module]
+        cases += [(a, elements) for a in ambients for elements in _stable_sets(c, a, rng)]
+    floor = c.p ** (c.precision - c.guard)
+    for ambient, elements in cases:
+        got, want = submodule_from_elements(ambient, elements), submodule_by_probe(ambient, elements)
+        assert routes[-1][0] and routes[-1][-1] is got
+        a, b = got.module, want.module
+        assert a.moduli == b.moduli
+        pairs = [(a.sigma_matrix, b.sigma_matrix), (a._lift, b._lift)]
+        for x, y in [*pairs, (got.inclusion.matrix, want.inclusion.matrix)]:
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        assert a._proj.shape == b._proj.shape and not ((a._proj - b._proj) % floor).any()
+        assert np.array_equal(a._proj[:, :: c.order], b._proj[:, :: c.order])
+
+
+def test_a_set_whose_own_lattice_meets_the_guard_band_takes_its_orbits(monkeypatch):
+    # 1 and 1 + 3^10 sigma span a lattice with a pivot of valuation 10,
+    # inside the guard band at 3^11, while their orbits span Lambda: the
+    # raise on the own lattice sends the set to its orbits.
+    c = GroupConfig(3, 1, 11)
+    routes = _routes(monkeypatch, caller="submodule_from_elements")
+    lam, one = free_module(c, 1), sigma_power(c, 0)
+    elements = [lam.element([one]), lam.element([one + sigma_power(c, 1) * 3**10])]
+    got = submodule_from_elements(lam, elements)
+    _assert_same_submodule(got, submodule_by_probe(lam, elements))
+    assert [own for own, *_ in routes] == [False] and got.module.invariant_summary() == (3, ())
+
+
 @pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group, a", [((3, 1, 11), 1), ((3, 2, 12), 2), ((2, 2, 12), 2)])
 def test_submodules_of_a_lifted_presentation_match_the_probe_construction(group, a):
@@ -596,15 +657,16 @@ def test_submodules_of_a_lifted_presentation_match_the_probe_construction(group,
 
 
 def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
-    # g = e = 0: the probe is the elimination of [ev | T], and the orbits
-    # are expanded once, at N; no lift to a raised precision is made.
+    # g = e = 0 on the ideal's own sigma-stable lattice: the probe is the
+    # one elimination, of the 9 x 8 generators alone, not of their 9 x 72
+    # orbits; the orbits are expanded once, for proj, and no lift to a
+    # raised precision is made.
     c = GroupConfig(3, 2, 12)
     lam = free_module(c, 1)
     one = sigma_power(c, 0)
     elems = [lam.element([sigma_power(c, a) - one]) for a in range(1, c.order)]
-    width = len(elems) * c.order
-    ev = _orbits(lam.ctx, lam.sigma_matrix, [e.column() for e in elems], c.order)
-    assert max(linalg.smith(lam.ctx, ev, rows=False, cols=False).dvals) == 0
+    columns = linalg.hstack(lam.ctx, [e.column() for e in elems])
+    assert max(linalg.smith(lam.ctx, columns, rows=False, cols=False).dvals) == 0
     calls = {"smith": [], "orbits": 0, "lift": 0}
     smith, orbits = linalg.smith, modules._orbits
     centered, renormalized = modules._centered_lift, modules._renormalized_lift
@@ -624,7 +686,8 @@ def test_a_torsion_free_saturated_submodule_eliminates_once(monkeypatch):
     monkeypatch.setattr(modules, "_centered_lift", count("lift", centered))
     monkeypatch.setattr(modules, "_renormalized_lift", count("lift", renormalized))
     sub = submodule_from_elements(lam, elems)
-    assert calls["smith"].count((lam.model_dim, width)) == 1
+    assert calls["smith"].count((lam.model_dim, len(elems))) == 1
+    assert (lam.model_dim, len(elems) * c.order) not in calls["smith"]
     assert calls["orbits"] == 1 and calls["lift"] == 0
     assert sub.module.invariant_summary() == (c.order - 1, ())
 
@@ -645,18 +708,31 @@ def _assert_same_lattice(got, want):
     assert not ((lhs - rhs) % ctx.p ** (ctx.precision - g)).any()
 
 
-def _kernel_routes(monkeypatch):
-    """Record, per kernel, whether its own lattice gave the submodule
-    (True) or it fell back to the orbits."""
-    routes, real = [], modules._submodule
+def _routes(monkeypatch, caller="kernel_of"):
+    """Record each submodule built for caller as (own, ambient, columns,
+    names, submodule): own says the columns' own lattice gave it, read
+    from the widths of the eliminations _submodule hands linalg.smith,
+    k + t columns on its own lattice and k d + t on the orbits (t the
+    ambient's torsion columns)."""
+    routes, widths = [], []
+    real_submodule, real_smith = modules._submodule, linalg.smith
 
-    def recorded(*args, stable=False):
-        sub = real(*args, stable=stable)
-        if stable:
-            routes.append(sub is not None)
+    def smith(ctx, a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_submodule":
+            widths.append(np.shape(a)[1])
+        return real_smith(ctx, a, *args, **kwargs)
+
+    def submodule(ambient, columns, names=None):
+        widths.clear()
+        sub = real_submodule(ambient, columns, names)
+        if sys._getframe(1).f_code.co_name == caller:
+            t = ambient.torsion_column_matrix().shape[1]
+            own = columns.shape[1] * ambient.cfg.order + t not in widths
+            routes.append((own, ambient, columns, names, sub))
         return sub
 
-    monkeypatch.setattr(modules, "_submodule", recorded)
+    monkeypatch.setattr(linalg, "smith", smith)
+    monkeypatch.setattr(modules, "_submodule", submodule)
     return routes
 
 
@@ -669,7 +745,7 @@ def test_kernels_from_their_own_lattice_match_the_probe_construction(group, monk
     # augmentation onto Z/p^e for e = 1, 2 (g = e > 0) and the cover of a
     # module with a trivial Z/p^e summand.  C11 at 11^11 is the object path.
     c = GroupConfig(*group)
-    routes = _kernel_routes(monkeypatch)
+    routes = _routes(monkeypatch)
     lam, lam2 = free_module(c, 1), free_module(c, 2)
     ring = [lam.element([c.p]), lam.element([sigma_power(c, 1) - sigma_power(c, 0)])]
     homs = [ModuleHom.from_generator_images(lam2, lam, ring)]
@@ -681,7 +757,7 @@ def test_kernels_from_their_own_lattice_match_the_probe_construction(group, monk
         homs.append(free_cover(target)[1])
     for hom in homs:
         _assert_same_lattice(kernel_of(hom), _kernel_by_probe(hom))
-    assert routes and all(routes)
+    assert routes and all(own for own, *_ in routes)
 
 
 @pytest.mark.parametrize("group, a", [((3, 2, 12), 2), ((5, 1, 10), 1)])
@@ -693,7 +769,7 @@ def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, mo
     # are not exactly sigma-stable, and those fall back to the orbits.
     # Where the probe construction meets the guard band, so does kernel_of.
     c = GroupConfig(*group)
-    routes = _kernel_routes(monkeypatch)
+    routes = _routes(monkeypatch)
     lam = free_module(c, 1)
     scaled = (sigma_power(c, 1) - sigma_power(c, 0)) * c.p**a
     quot = quotient_by_image(scalar_action_hom(lam, scaled)).module
@@ -714,29 +790,21 @@ def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, mo
                     kernel_of(hom)
                 continue
             _assert_same_lattice(kernel_of(hom), want)
-        assert True in routes and False in routes
+        owns = {own for own, *_ in routes}
+        assert owns == {True, False}
 
 
 @pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", [(3, 1, 11), (3, 2, 12), (2, 3, 12), (5, 1, 10), (11, 1, 11)])
 def test_kernels_of_sources_with_torsion_match_the_element_route(group, monkeypatch):
-    # Bit for bit as the orbits of the same kernel vectors, as kernel_of's
-    # fallback builds them: the kernels of p and of tau - 1 at every level
-    # on the finite kernel A of the J1+ideal pipeline and on a random
-    # module plus a trivial Z/p^e summand, e = 1, 2 (random modules alone
-    # have no torsion at p = 5 and 7), all on their own lattice, and every
-    # kernel the pipeline builds on that route.  C11 at 11^11 is the
-    # object path.
+    # Bit for bit as the frozen construction on the orbits of the same
+    # kernel vectors: the kernels of p and of tau - 1 at every level on
+    # the finite kernel A of the J1+ideal pipeline and on a random module
+    # plus a trivial Z/p^e summand, e = 1, 2 (random modules alone have no
+    # torsion at p = 5 and 7), all on their own lattice, and every kernel
+    # the pipeline builds on that route.  C11 at 11^11 is the object path.
     c = GroupConfig(*group)
-    pairs, real = [], modules._submodule
-
-    def recorded(ambient, columns, names=None, stable=False):
-        sub = real(ambient, columns, names, stable=stable)
-        if stable and sub is not None:
-            pairs.append((sub, real(ambient, columns, names)))
-        return sub
-
-    monkeypatch.setattr(modules, "_submodule", recorded)
+    routes = _routes(monkeypatch)
     sources = [lemma2_pipeline(_pipeline_input("J1+ideal", c)).kernel.module]
     for e in (1, 2):
         base = random_presented_module(c, random.Random(e))
@@ -748,26 +816,22 @@ def test_kernels_of_sources_with_torsion_match_the_element_route(group, monkeypa
             tau = source.act_matrix(sigma_power(c, c.p ** (c.n - level)))
             homs.append(ModuleHom(source, source, (tau - one) % c.modulus))
         for hom in homs:
-            assert not source.is_torsion_free() and kernel_of(hom) is pairs[-1][0]
-    for got, want in pairs:
-        _assert_same_submodule(got, want)
+            assert not source.is_torsion_free() and kernel_of(hom) is routes[-1][-1]
+            assert routes[-1][0]
+    for own, ambient, columns, names, got in routes:
+        if own:
+            elements = [ambient.element_from_model_coords(x) for x in columns.T]
+            _assert_same_submodule(got, submodule_by_probe(ambient, elements, names))
 
 
 def test_the_chain_and_the_splitting_battery_expand_no_kernel_orbits(monkeypatch):
-    # kernel_of reaches the element route only as its fallback, and no
+    # kernel_of reaches the orbits only as _submodule's fallback, and no
     # kernel of the theorem-1 chain on J1+ideal+free at C9, or of the
     # splitting battery, needs it.
-    calls, real = [], modules._submodule
-
-    def recorded(*args, stable=False):
-        if sys._getframe(1).f_code.co_name == "kernel_of":
-            calls.append(stable)
-        return real(*args, stable=stable)
-
-    monkeypatch.setattr(modules, "_submodule", recorded)
+    routes = _routes(monkeypatch)
     assert theorem1_verify(_pipeline_input("J1+ideal+free", GroupConfig(3, 2, 12))).passed
     assert suite_splitting().status == "pass"
-    assert calls and all(calls)
+    assert routes and all(own for own, *_ in routes)
 
 
 @pytest.mark.parametrize("p, precision", [(3, 8), (5, 13), (7, 12)])
@@ -791,11 +855,11 @@ def test_orbits_of_a_permutation_match_the_column_loop(p, precision, monkeypatch
 
 
 def test_the_lemma3_resolution_builds_no_orbit_lattice_of_its_kernels(monkeypatch):
-    # Guards the kernels that take their own lattice and the gather on
-    # free modules: at C25 the largest elimination is J_1's 25 x 650
-    # (26 elements of Lambda), not the 50 x 625 orbits of the 25 kernel
-    # vectors of Lambda^2 -> Lambda, and no orbit step of a permutation
-    # sigma is a product.
+    # Guards the element sets and kernels that take their own lattice and
+    # the gather on free modules: at C25 no elimination is larger than
+    # 50 x 50, neither J_1's 25 x 650 orbits (26 elements of Lambda) nor
+    # the 50 x 625 orbits of the 25 kernel vectors of Lambda^2 -> Lambda,
+    # and no orbit step of a permutation sigma is a product.
     j_module.cache_clear()
     augmentation_ideal.cache_clear()
     cells, products, gathers = [], [], []
@@ -822,5 +886,5 @@ def test_the_lemma3_resolution_builds_no_orbit_lattice_of_its_kernels(monkeypatc
     monkeypatch.setattr(linalg, "matmul", matmul)
     monkeypatch.setattr(modules, "_orbits", orbits)
     lemma3_resolution(GroupConfig(5, 2, 10), 1)
-    assert max(cells) <= 25 * 650
+    assert max(cells) <= 50 * 50
     assert gathers and not any(gathers)
