@@ -58,6 +58,9 @@ __all__ = [
     "minimal_generators",
     "free_cover",
     "images_agree",
+    "is_injective",
+    "is_surjective",
+    "is_exact",
     "identity_hom",
     "scalar_action_hom",
 ]
@@ -450,9 +453,9 @@ class ModuleHom:
         for img in images:
             if img.module is not target:
                 raise ValueError("images must lie in the target module")
-        ctx = target.ctx
+        ctx, d = target.ctx, source.cfg.order
         cols = [img.column() for img in images]
-        orbits = _orbits(ctx, target.sigma_matrix, cols, source.cfg.order)
+        orbits = _orbits(ctx, target.sigma_matrix, cols, d)
         rows = np.flatnonzero(source._lift.any(axis=1))  # lift is zero elsewhere
         mat = linalg.matmul(ctx, orbits[:, rows], source._lift[rows])
         # Well-definedness comes down to two checks on the assembled
@@ -460,13 +463,12 @@ class ModuleHom:
         # must reproduce the requested generator images.  Together these
         # force every relation to map to zero (a model-valid matrix is a
         # genuine hom, and relations already vanish in the source), so no
-        # relation-by-relation scan is needed.
+        # relation-by-relation scan is needed.  The images are compared as
+        # one array, against the sigma^0 columns of their orbits.
         hom = cls(source, target, mat, check=True)
-        for g, img in enumerate(images):
-            if hom.apply(source.generator(g)) != img:
-                raise IllDefinedHom(
-                    "generator images are inconsistent with the source relations"
-                )
+        got = linalg.matmul(ctx, hom.matrix, source._proj[:, ::d])
+        if not np.array_equal(_canon_rows(ctx, got, target.moduli), orbits[:, ::d]):
+            raise IllDefinedHom("generator images are inconsistent with the source relations")
         return hom
 
     def apply(self, elt: ElementVector) -> ElementVector:
@@ -806,6 +808,16 @@ def quotient_by_image(hom: ModuleHom, names=None) -> Quotient:
     return Quotient(quot, projection, lift)
 
 
+def _kernel_lattice(hom: ModuleHom) -> np.ndarray:
+    """Saturated kernel vectors {x : Hx in T}, canonical, zero columns dropped."""
+    source, ctx = hom.source, hom.source.ctx
+    tc = hom.target.torsion_column_matrix()
+    stacked = linalg.hstack(ctx, [hom.matrix, (-tc) % ctx.modulus])
+    sat = linalg.saturated_kernel_cols(ctx, stacked)
+    xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
+    return xs[:, xs.any(axis=0)]
+
+
 def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     """The kernel of a hom, with its inclusion into the source.
 
@@ -820,11 +832,7 @@ def kernel_of(hom: ModuleHom, names=None) -> Submodule:
     """
     source = hom.source
     ctx, d = source.ctx, source.cfg.order
-    tc = hom.target.torsion_column_matrix()
-    stacked = linalg.hstack(ctx, [hom.matrix, (-tc) % ctx.modulus])
-    sat = linalg.saturated_kernel_cols(ctx, stacked)
-    xs = _canon_rows(ctx, sat[: source.model_dim, :], source.moduli)
-    xs = xs[:, xs.any(axis=0)]
+    xs = _kernel_lattice(hom)
     if xs.shape[1]:
         return _submodule(source, xs, names)
     names = ["y0"] if names is None else names
@@ -946,7 +954,7 @@ def free_cover(module: PresentedModule, names=None):
     gens = minimal_generators(module)
     free = free_module(module.cfg, len(gens), names=names)
     cover = ModuleHom.from_generator_images(free, module, gens)
-    if not quotient_by_image(cover).module.is_zero():
+    if not is_surjective(cover):
         raise IllDefinedHom("minimal generating set failed to generate")
     return free, cover
 
@@ -961,11 +969,33 @@ def images_agree(h1: ModuleHom, h2: ModuleHom) -> bool:
     """
     if h1.target is not h2.target:
         raise ValueError("images live in different modules")
-    ctx = h1.target.ctx
-    tc = h1.target.torsion_column_matrix()
-
-    def dvals(*blocks):
-        return linalg.smith(ctx, linalg.hstack(ctx, [*blocks, tc]), rows=False, cols=False).dvals
-
-    d1, d2, d12 = dvals(h1.matrix), dvals(h2.matrix), dvals(h1.matrix, h2.matrix)
+    t, a, b = h1.target, h1.matrix, h2.matrix
+    d1, d2, d12 = _span_dvals(t, a), _span_dvals(t, b), _span_dvals(t, a, b)
     return d1 == d12 and d2 == d12
+
+
+def _span_dvals(module: PresentedModule, *blocks) -> list:
+    """Smith invariants of span(blocks) + T, T the module's torsion lattice."""
+    ctx = module.ctx
+    lattice = linalg.hstack(ctx, [*blocks, module.torsion_column_matrix()])
+    return linalg.smith(ctx, lattice, rows=False, cols=False).dvals
+
+
+def is_injective(hom: ModuleHom) -> bool:
+    """Whether the kernel is zero: the kernel lattice has no vector."""
+    return not _kernel_lattice(hom).shape[1]
+
+
+def is_surjective(hom: ModuleHom) -> bool:
+    """Whether image + T is the whole model lattice: m unit invariants."""
+    return _span_dvals(hom.target, hom.matrix) == [0] * hom.target.model_dim
+
+
+def is_exact(inner: ModuleHom, outer: ModuleHom) -> bool:
+    """Whether im(inner) = ker(outer).  outer o inner = 0 puts span(inner) + T
+    in the kernel lattice + T (T the middle module's torsion lattice), and a
+    sublattice with the same Smith invariants is all of it."""
+    if not outer.compose(inner).is_zero_map():
+        return False
+    mid = outer.source
+    return _span_dvals(mid, inner.matrix) == _span_dvals(mid, _kernel_lattice(outer))

@@ -25,7 +25,11 @@ was N itself, and free_summands_by_hom_scan and
 stably_isomorphic_by_padding, the free summands as a scan of
 Hom(M, Lambda) found them and the stable comparison as it searched the
 padded modules (these two call the package's hom spaces, kernels and
-isomorphism search).  herbrand_log
+isomorphism search), and injective_by_kernel, surjective_by_quotient,
+finite_index_by_quotient and exact_by_kernel, the exactness checks of
+the constructions as they built a kernel or quotient module to read one
+bit of it (these call the package's kernel_of, quotient_by_image and
+images_agree).  herbrand_log
 predicts the ratio of Tate group orders from ranks alone, and
 diagonal_matrix writes out the diagonal a Smith form stands for.
 """
@@ -56,7 +60,9 @@ from cyclomod.modules import (
     ModuleHom,
     direct_sum,
     free_module,
+    images_agree,
     kernel_of,
+    quotient_by_image,
     PresentedModule,
     Submodule,
     _canon_rows,
@@ -774,3 +780,23 @@ def stably_isomorphic_by_padding(m1, m2, search=None):
         if isinstance(res, NotIsomorphic):
             return NotStablyIsomorphic(res.reason)
     return Undecided("padding budget")
+
+
+def injective_by_kernel(hom):
+    """Injectivity as the constructions read it off the kernel module."""
+    return kernel_of(hom).module.is_zero()
+
+
+def surjective_by_quotient(hom):
+    """Surjectivity as the constructions read it off the cokernel module."""
+    return quotient_by_image(hom).module.is_zero()
+
+
+def finite_index_by_quotient(hom):
+    """Finite index of the image, as lemma2_pipeline read it off the cokernel."""
+    return quotient_by_image(hom).module.zp_rank() == 0
+
+
+def exact_by_kernel(inner, outer):
+    """im(inner) = ker(outer), the kernel built as a submodule first."""
+    return images_agree(kernel_of(outer).inclusion, inner)

@@ -40,7 +40,9 @@ from cyclomod.modules import (
     trivial_module,
     zp_trivial,
 )
+from cyclomod.oracle import Iso, modules_isomorphic
 from cyclomod.suites import _pipeline_input, random_presented_module
+from cyclomod.yakovlev import DiagramIso, delta, diagrams_isomorphic
 
 from _oracles import (
     FiniteModule,
@@ -557,8 +559,9 @@ def test_split_cores_match_the_unsplit_model(group, monkeypatch):
 @pytest.mark.parametrize("group", [(3, 2, 12), (2, 3, 12)])
 def test_a_change_of_basis_keeps_the_invariants(group):
     # A random unimodular conjugate U sigma U^-1 of ideal + J1 + Lambda
-    # no longer splits into blocks, and every level and parity keeps
-    # its invariants.
+    # no longer splits into blocks; every level and parity keeps its
+    # invariants, the level diagrams are isomorphic, and so are the
+    # modules, by an Iso whose inverse is a verified hom.
     c = GroupConfig(*group)
     whole = direct_sum(augmentation_ideal(c), j_module(c, 1), free_module(c, 1)).module
     ctx, m, rng = whole.ctx, whole.model_dim, random.Random(sum(group))
@@ -571,6 +574,13 @@ def test_a_change_of_basis_keeps_the_invariants(group):
     for level in range(1, c.n + 1):
         for degree in (0, 1):
             assert tate(moved, degree, level).invariants == tate(whole, degree, level).invariants
+    assert isinstance(diagrams_isomorphic(delta(moved), delta(whole)), DiagramIso)
+    iso = modules_isomorphic(moved, whole)
+    assert isinstance(iso, Iso)
+    assert iso.forward.source is moved and iso.forward.target is whole
+    inverse = ModuleHom(whole, moved, iso.inverse.matrix)
+    assert np.array_equal(inverse.compose(iso.forward).matrix, linalg.eye(ctx, m))
+    assert np.array_equal(iso.forward.compose(inverse).matrix, linalg.eye(ctx, m))
 
 
 @pytest.mark.filterwarnings("ignore:p = 2")

@@ -8,66 +8,20 @@ modules.  On seeded modules of five groups the free ranks, the verdict
 types and the pads must agree.
 """
 
-import random
-
 import pytest
 
 from cyclomod import linalg, oracle
 from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import j_module, lemma2_pipeline, theorem1_verify
-from cyclomod.errors import PrecisionExhausted
-from cyclomod.modules import (
-    ModuleHom,
-    augmentation_ideal,
-    direct_sum,
-    free_module,
-    kernel_of,
-    minimal_generators,
-    trivial_module,
-    zp_trivial,
-)
+from cyclomod.modules import augmentation_ideal, direct_sum, free_module, zp_trivial
 from cyclomod.oracle import StableIso, krull_schmidt_note, stably_isomorphic
-from cyclomod.suites import _pipeline_input, random_presented_module
+from cyclomod.suites import _pipeline_input
 
 from _oracles import free_summands_by_hom_scan, stably_isomorphic_by_padding
+from _seeded_lattices import SEEDS, lattices, plus_free, seeded
 
 CONFIGS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
-SEEDS = range(4)
 pytestmark = pytest.mark.filterwarnings("ignore:p = 2")
-
-
-def _syzygy(module, extra=0, rng=None):
-    """The kernel of a cover by the minimal generators plus extra random
-    combinations of them, which adds a free summand per extra one."""
-    gens = minimal_generators(module)
-    gens += [sum((rng.randrange(9) * g for g in gens), module.zero()) for _ in range(extra)]
-    free = free_module(module.cfg, len(gens))
-    return kernel_of(ModuleHom.from_generator_images(free, module, gens)).module
-
-
-def _plus_free(module, copies):
-    return direct_sum(module, free_module(module.cfg, copies)).module
-
-
-def _seeded(cfg, seed):
-    rng = random.Random(seed)
-    module = random_presented_module(cfg, rng)
-    return direct_sum(module, trivial_module(cfg, exponent=rng.randrange(1, 3))).module, rng
-
-
-def _lattices(cfg):
-    """Syzygies of seeded random modules plus Z/p^e, the same plus Lambda^a
-    (as a direct sum and through a cover with spare generators), and
-    second syzygies.  A syzygy that raises is the known kernel failure
-    at p = 2 (ROADMAP item 23) and is left out."""
-    for seed in SEEDS:
-        module, rng = _seeded(cfg, seed)
-        try:
-            omega = _syzygy(module)
-            yield from (omega, _plus_free(omega, rng.randrange(1, 3)), _syzygy(module, 1, rng))
-            yield _syzygy(omega)
-        except PrecisionExhausted:
-            continue
 
 
 def _with_torsion(cfg):
@@ -75,14 +29,14 @@ def _with_torsion(cfg):
     for shape in ("ideal", "ideal+free", "J1+ideal"):
         yield lemma2_pipeline(_pipeline_input(shape, cfg)).b
     for seed in SEEDS:
-        yield _seeded(cfg, 100 + seed)[0]
+        yield seeded(cfg, 100 + seed)[0]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "p%dn%d" % c[:2])
 def test_norm_test_matches_the_hom_space_scan(config):
     cfg = GroupConfig(*config)
     ranks = []
-    modules = [*_lattices(cfg), *_with_torsion(cfg)]
+    modules = [*lattices(cfg), *_with_torsion(cfg)]
     assert len(modules) >= 15
     for module in modules:
         got, want = krull_schmidt_note(module), free_summands_by_hom_scan(module)
@@ -101,10 +55,10 @@ def _pool(cfg):
 
 
 def _pairs(cfg):
-    for omega in _lattices(cfg):
-        yield _plus_free(omega, 1 + omega.model_dim % 2), omega
+    for omega in lattices(cfg):
+        yield plus_free(omega, 1 + omega.model_dim % 2), omega
     j1 = j_module(cfg, 1)
-    yield _plus_free(j1, 1), j1
+    yield plus_free(j1, 1), j1
     yield augmentation_ideal(cfg), zp_trivial(cfg)
     pool = _pool(cfg)
     for i, m1 in enumerate(pool):

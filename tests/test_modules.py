@@ -128,6 +128,21 @@ def test_ill_defined_hom_rejected():
         ModuleHom.from_generator_images(z, lam, [lam.generator(0)])
 
 
+def test_generator_images_that_break_a_relation_are_rejected():
+    # The ideal's generators sigma^a - 1 satisfy relations, and each image
+    # is compared with the assembled hom's: zeroing any one is caught.
+    c = GroupConfig(3, 2, 12)
+    ideal, lam, one = augmentation_ideal(c), free_module(c, 1), sigma_power(c, 0)
+    images = [lam.element([sigma_power(c, a) - one]) for a in range(1, c.order)]
+    assert ModuleHom.from_generator_images(ideal, lam, images).matrix.shape == (9, 8)
+    for j in range(len(images)):
+        broken = images[:j] + [lam.zero()] + images[j + 1 :]
+        with pytest.raises(IllDefinedHom, match="^generator images are inconsistent"):
+            ModuleHom.from_generator_images(ideal, lam, broken)
+    zero = free_module(c, 0)
+    assert free_cover(zero)[1].matrix.shape == (0, 0)
+
+
 def test_quotients_of_group_ring():
     c = cfg()
     lam = free_module(c, 1)
