@@ -12,9 +12,11 @@ Commands:
                             group options it does not read
 
 Exit codes: 0 verified / built, 1 failed or rejected input, 2 the
-search gave up (undecided).  Machine-format reports are canonical
-one-line JSON and byte-stable for fixed seeds.  The default working
-precision can be set with the CYCLOMOD_PRECISION environment variable.
+search gave up (undecided).  Every battery exits 2 when a search gives
+up on one of its checks and no check fails.  Machine-format reports
+are canonical one-line JSON and byte-stable for fixed seeds.  The
+default working precision can be set with the CYCLOMOD_PRECISION
+environment variable.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=0, help="search seed")
     top.add_argument("--max-samples", type=int, default=512)
     top.add_argument("--enum-bound", type=int, default=4)
-    top.add_argument("--max-free-rank", type=int, default=3)
     top.add_argument("--format", choices=("text", "machine"), default="text")
     top.add_argument("--out", default=None, help="write the report here instead of stdout")
     sub = top.add_subparsers(dest="command", required=True)
@@ -137,7 +138,6 @@ def _search_config(args) -> IsoSearchConfig:
         seed=args.seed,
         max_samples=args.max_samples,
         enumeration_bound=args.enum_bound,
-        max_free_rank=args.max_free_rank,
     )
 
 

@@ -21,7 +21,6 @@ Instances are frozen; sharing them across threads is safe.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
@@ -71,12 +70,6 @@ class GroupConfig:
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise PreconditionViolated(f"p = {self.p} is not prime")
-        if self.p == 2:
-            warnings.warn(
-                "p = 2 is accepted but untested at scale; unit handling "
-                "is the same, sign conventions are not exercised",
-                stacklevel=3,
-            )
         if self.n < 0:
             raise PreconditionViolated(f"n = {self.n} must be >= 0")
         if self.guard < 1:
@@ -114,17 +107,15 @@ class IsoSearchConfig:
     enumeration_bound is a dimension: when the mod-p solution space of a
     constraint system has dimension at most this, candidates are
     enumerated exhaustively; otherwise max_samples seeded random
-    combinations are tried.  max_free_rank is the rank gap, in copies of
-    the group ring, past which stably_isomorphic answers Undecided.
+    combinations are tried, and a search that finds no witness among
+    them answers Undecided.  Stable comparisons have no budget of their
+    own: they cancel free summands and search the complements.
     """
 
     seed: int = 0
     max_samples: int = 512
     enumeration_bound: int = 4
-    max_free_rank: int = 3
 
     def __post_init__(self) -> None:
         if self.max_samples < 1 or self.enumeration_bound < 0:
             raise PreconditionViolated("search budgets must be positive")
-        if self.max_free_rank < 0:
-            raise PreconditionViolated("max_free_rank must be >= 0")

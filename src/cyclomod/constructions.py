@@ -547,12 +547,15 @@ def lemma2_pipeline(data: Theorem1Input) -> Lemma2Result:
             f"{data.rank} * {d} + {d - 1}"
         )
     if data.rank:
-        fsub = submodule_from_elements(c, list(data.free_witness))
-        if fsub.module.zp_rank() != data.rank * d:
+        # c is torsion-free: the image has rank rank * d iff the kernel is zero
+        free_hom = ModuleHom.from_generator_images(
+            free_module(cfg, data.rank), c, data.free_witness
+        )
+        if not is_injective(free_hom):
             raise WitnessInvalid(
                 "free witness does not generate a free module of the stated rank"
             )
-        quot = quotient_by_image(fsub.inclusion)
+        quot = quotient_by_image(free_hom)
         c1 = quot.module
         x0 = quot.projection.apply(data.ideal_witness)
         to_c1 = quot.projection

@@ -57,7 +57,6 @@ __all__ = [
     "fixed_points",
     "minimal_generators",
     "free_cover",
-    "images_agree",
     "is_injective",
     "is_surjective",
     "is_exact",
@@ -957,21 +956,6 @@ def free_cover(module: PresentedModule, names=None):
     if not is_surjective(cover):
         raise IllDefinedHom("minimal generating set failed to generate")
     return free, cover
-
-
-def images_agree(h1: ModuleHom, h2: ModuleHom) -> bool:
-    """Whether two homs into the same module have the same image.
-
-    Decided on lattices: with T the target's torsion lattice, the image
-    lattice of each hom (plus T) is compared against the joint span.
-    Matching Smith invariants force equality for a sublattice of its
-    own saturation, so agreement in both directions is conclusive.
-    """
-    if h1.target is not h2.target:
-        raise ValueError("images live in different modules")
-    t, a, b = h1.target, h1.matrix, h2.matrix
-    d1, d2, d12 = _span_dvals(t, a), _span_dvals(t, b), _span_dvals(t, a, b)
-    return d1 == d12 and d2 == d12
 
 
 def _span_dvals(module: PresentedModule, *blocks) -> list:

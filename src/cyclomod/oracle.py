@@ -268,12 +268,12 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
     """StableIso, NotStablyIsomorphic, or Undecided for torsion-free modules.
 
     Padding cannot change cohomology or the rank mod the group order,
-    so mismatches there are definitive negatives; a rank gap past
-    search.max_free_rank copies of the group ring is Undecided.  Else
-    both sides lose their free summands, s1 and s2 of them, and by
+    so mismatches there are definitive negatives.  Else both sides lose
+    their free summands, s1 and s2 of them, however many, and by
     Krull-Schmidt cancellation the complements decide: different ranks
     are a definitive negative, else the search of modules_isomorphic
-    without its screens.  The pads are (max(0, s2 - s1), max(0, s1 - s2)).
+    without its screens, whose budget alone can leave the pair Undecided.
+    The pads are (max(0, s2 - s1), max(0, s1 - s2)).
     """
     if search is None:
         search = IsoSearchConfig()
@@ -293,11 +293,6 @@ def stably_isomorphic(m1: PresentedModule, m2: PresentedModule, search=None):
         return NotStablyIsomorphic(
             f"cohomology differs at level {level}, degree {degree}; "
             "free padding cannot change it"
-        )
-    if abs(r1 - r2) > search.max_free_rank * d:
-        return Undecided(
-            f"rank gap {abs(r1 - r2)} exceeds the padding budget "
-            f"max_free_rank={search.max_free_rank}"
         )
     k1, k2 = krull_schmidt_note(m1), krull_schmidt_note(m2)
     c1, c2 = k1.complement, k2.complement

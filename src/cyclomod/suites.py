@@ -6,6 +6,11 @@ names, statuses and value summaries, so two runs with the same knobs
 produce identical dictionaries.  The intended consumers are the command
 line front end (exit code from SuiteReport.status) and the test suite
 (frozen expected values).
+
+A check built from a search verdict has one status rule: pass when the
+verdict's truth value is the one the check expects, undecided when the
+search gave up (Undecided), fail otherwise.  So a battery whose searches
+run out of budget reports undecided, never fail, for those checks.
 """
 
 from __future__ import annotations
@@ -116,25 +121,29 @@ class _Collector:
     def __init__(self):
         self.checks = []
 
-    def add(self, name: str, ok: bool, detail: str = "") -> bool:
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, PASS if ok else FAIL, detail))
-        return ok
 
-    def add_status(self, name: str, status: str, detail: str = "") -> None:
+    def add_verdict(self, name: str, verdict, expect: bool, detail: str | None = None) -> None:
+        """Record a search verdict: pass when its truth value is expect,
+        undecided when the search gave up, else fail.  Iso, StableIso and
+        DiagramIso are true, every other verdict false.  The detail is
+        _verdict_detail(verdict) unless one is given."""
+        if isinstance(verdict, Undecided):
+            status = UNDECIDED
+        else:
+            status = PASS if bool(verdict) == expect else FAIL
+        detail = _verdict_detail(verdict) if detail is None else detail
         self.checks.append(CheckResult(name, status, detail))
 
-    def guarded(self, name: str, fn, detail_fn=None) -> None:
-        """Run fn; pass unless it raises CyclomodError.
-
-        detail_fn, when given, turns fn's return value into the recorded
-        detail string.
-        """
+    def guarded(self, name: str, fn):
+        """Run fn and return its value; pass unless it raises CyclomodError."""
         try:
             value = fn()
         except CyclomodError as exc:
             self.add(name, False, f"{type(exc).__name__}: {exc}")
             return None
-        self.add(name, True, detail_fn(value) if detail_fn else "")
+        self.add(name, True)
         return value
 
 
@@ -221,19 +230,11 @@ def suite_lemma3(
         for a in range(pair_top + 1):
             for b in range(a + 1, pair_top + 1):
                 verdict = modules_isomorphic(js[a], js[b], search)
-                col.add(
-                    f"{tag}.J{a}.vs.J{b}",
-                    isinstance(verdict, NotIsomorphic),
-                    _verdict_detail(verdict),
-                )
+                col.add_verdict(f"{tag}.J{a}.vs.J{b}", verdict, False)
         if top_e == cfg.n + 1:
             top = direct_sum(zp_trivial(cfg), augmentation_ideal(cfg)).module
             verdict = modules_isomorphic(js[cfg.n + 1], top, search)
-            col.add(
-                f"{tag}.J{cfg.n + 1}.is.Zp+ideal",
-                not isinstance(verdict, (NotIsomorphic, Undecided)),
-                _verdict_detail(verdict),
-            )
+            col.add_verdict(f"{tag}.J{cfg.n + 1}.is.Zp+ideal", verdict, True)
     knobs = {
         "configs": [cfg.describe() for cfg in configs],
         "seed": search.seed,
@@ -324,11 +325,7 @@ def suite_splitting(seed: int = 0, search: IsoSearchConfig | None = None) -> Sui
         )
         if sm2 is not None:
             verdict = modules_isomorphic(sm.module, sm2.module, search)
-            col.add(
-                f"{name}.class_independence",
-                not isinstance(verdict, (NotIsomorphic, Undecided)),
-                _verdict_detail(verdict),
-            )
+            col.add_verdict(f"{name}.class_independence", verdict, True)
         def _round_trip(sm=sm):
             ext2 = cocycle_from_section(
                 sm.projection, Submodule(sm.kernel_hom.source, sm.kernel_hom)
@@ -337,11 +334,7 @@ def suite_splitting(seed: int = 0, search: IsoSearchConfig | None = None) -> Sui
         sm3 = col.guarded(f"{name}.reextract", _round_trip)
         if sm3 is not None:
             verdict = modules_isomorphic(sm.module, sm3.module, search)
-            col.add(
-                f"{name}.round_trip",
-                not isinstance(verdict, (NotIsomorphic, Undecided)),
-                _verdict_detail(verdict),
-            )
+            col.add_verdict(f"{name}.round_trip", verdict, True)
     # frozen spot values for the first nonsplit instance: the middle
     # module has vanishing even cohomology, Z/p odd cohomology, and is
     # not the direct sum of its ends
@@ -350,24 +343,13 @@ def suite_splitting(seed: int = 0, search: IsoSearchConfig | None = None) -> Sui
     col.add("carry.p3.odd", tate(m, 1, 1).invariants == (1,), str(tate(m, 1, 1).invariants))
     col.add("carry.p3.not_cohomologically_trivial", not is_cohomologically_trivial(m))
     ends = direct_sum(trivial_module(CONFIG_31, 1), augmentation_ideal(CONFIG_31)).module
-    col.add(
-        "carry.p3.not_split_sum",
-        isinstance(modules_isomorphic(m, ends, search), NotIsomorphic),
-    )
+    col.add_verdict("carry.p3.not_split_sum", modules_isomorphic(m, ends, search), False, "")
     split_m = splitting_module(zero_extension(trivial_module(CONFIG_31, 1))).module
-    col.add(
-        "split.p3.is_split_sum",
-        not isinstance(modules_isomorphic(split_m, ends, search), (NotIsomorphic, Undecided)),
-    )
+    col.add_verdict("split.p3.is_split_sum", modules_isomorphic(split_m, ends, search), True, "")
     zero_kernel = trivial_module(CONFIG_31, 0)
     m_ideal = splitting_module(zero_extension(zero_kernel)).module
-    col.add(
-        "zerokernel.p3.is_ideal",
-        not isinstance(
-            modules_isomorphic(m_ideal, augmentation_ideal(CONFIG_31), search),
-            (NotIsomorphic, Undecided),
-        ),
-    )
+    ideal_verdict = modules_isomorphic(m_ideal, augmentation_ideal(CONFIG_31), search)
+    col.add_verdict("zerokernel.p3.is_ideal", ideal_verdict, True, "")
     knobs = {"seed": seed, "instances": [n for n, _ in _splitting_instances()]}
     return SuiteReport("splitting", knobs, tuple(col.checks))
 
@@ -473,11 +455,7 @@ def suite_prop4(search: IsoSearchConfig | None = None) -> SuiteReport:
         f"summary {qm.invariant_summary()}",
     )
     verdict = modules_isomorphic(qm, small_ideal, search)
-    col.add(
-        "fixed_points.is_quotient_ideal",
-        not isinstance(verdict, (NotIsomorphic, Undecided)),
-        _verdict_detail(verdict),
-    )
+    col.add_verdict("fixed_points.is_quotient_ideal", verdict, True)
     knobs = {"config": big.describe(), "seed": search.seed}
     return SuiteReport("prop4", knobs, tuple(col.checks))
 
@@ -514,11 +492,7 @@ def suite_prop5(instances=None, search: IsoSearchConfig | None = None) -> SuiteR
         lhs = direct_sum(*parts).module
         rhs = predicted_unit_structure(cfg, r, exps, unit_rank=r)
         verdict = diagrams_isomorphic(delta(lhs), delta(rhs), search)
-        col.add(
-            f"{name}.diagram",
-            isinstance(verdict, DiagramIso),
-            _verdict_detail(verdict),
-        )
+        col.add_verdict(f"{name}.diagram", verdict, True)
         h_l = tate(lhs, 0, cfg.n).invariants
         h_r = tate(rhs, 0, cfg.n).invariants
         col.add(
@@ -541,7 +515,7 @@ def suite_theorem1(search: IsoSearchConfig | None = None) -> SuiteReport:
 
     Each case must produce a matching level diagram, matching top-level
     even cohomology, and a stable isomorphism between the double-syzygy
-    complement and the input, padded by at most max_free_rank copies of Lambda.
+    complement and the input: an isomorphism up to free summands.
     """
     if search is None:
         search = IsoSearchConfig()
@@ -558,27 +532,15 @@ def suite_theorem1(search: IsoSearchConfig | None = None) -> SuiteReport:
         report = col.guarded(f"{name}.chain", lambda data=data: theorem1_verify(data, search))
         if report is None:
             continue
-        col.add(
-            f"{name}.diagram",
-            isinstance(report.diagram_verdict, DiagramIso),
-            _verdict_detail(report.diagram_verdict),
-        )
+        col.add_verdict(f"{name}.diagram", report.diagram_verdict, True)
         col.add(
             f"{name}.h2",
             report.h2_match,
             f"{report.h2_invariants[0]} vs {report.h2_invariants[1]}",
         )
-        if isinstance(report.stable_verdict, StableIso):
-            pads = (report.stable_verdict.pad_first, report.stable_verdict.pad_second)
-            col.add(
-                f"{name}.stable",
-                max(pads) <= search.max_free_rank,
-                f"pads {pads}",
-            )
-        elif isinstance(report.stable_verdict, Undecided):
-            col.add_status(f"{name}.stable", UNDECIDED, _verdict_detail(report.stable_verdict))
-        else:
-            col.add(f"{name}.stable", False, _verdict_detail(report.stable_verdict))
+        sv = report.stable_verdict
+        detail = f"pads {(sv.pad_first, sv.pad_second)}" if isinstance(sv, StableIso) else None
+        col.add_verdict(f"{name}.stable", sv, True, detail)
     knobs = {"cases": [n for n, _ in cases], "seed": search.seed}
     return SuiteReport("theorem1", knobs, tuple(col.checks))
 
@@ -627,12 +589,7 @@ def suite_yakovlev(search: IsoSearchConfig | None = None) -> SuiteReport:
                 sv = stably_isomorphic(m1, m2, search)
                 name = f"{n1}.vs.{n2}"
                 if agree:
-                    if isinstance(sv, NotStablyIsomorphic):
-                        col.add(name, False, f"refuted despite agreement: {sv.reason}")
-                    elif isinstance(sv, Undecided):
-                        col.add_status(name, UNDECIDED, _verdict_detail(sv))
-                    else:
-                        col.add(name, True, "agree, stable iso found")
+                    col.add_verdict(name, sv, True, "agree, stable iso found" if sv else None)
                 else:
                     col.add(
                         name,
@@ -657,10 +614,10 @@ def suite_negative(search: IsoSearchConfig | None = None) -> SuiteReport:
     dv = diagrams_isomorphic(
         delta(j_module(CONFIG_32, 1)), delta(j_module(CONFIG_32, 2)), search
     )
-    col.add("J1.vs.J2.diagrams", isinstance(dv, NotIsomorphic), _verdict_detail(dv))
+    col.add_verdict("J1.vs.J2.diagrams", dv, False)
 
     sv = stably_isomorphic(augmentation_ideal(CONFIG_31), zp_trivial(CONFIG_31), search)
-    col.add("ideal.vs.zp.stable", isinstance(sv, NotStablyIsomorphic), _verdict_detail(sv))
+    col.add_verdict("ideal.vs.zp.stable", sv, False)
 
     kernel = trivial_module(CONFIG_31, 1)
     good = carry_cocycle(kernel)

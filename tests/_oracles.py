@@ -28,8 +28,9 @@ padded modules (these two call the package's hom spaces, kernels and
 isomorphism search), and injective_by_kernel, surjective_by_quotient,
 finite_index_by_quotient and exact_by_kernel, the exactness checks of
 the constructions as they built a kernel or quotient module to read one
-bit of it (these call the package's kernel_of, quotient_by_image and
-images_agree).  herbrand_log
+bit of it (these call the package's kernel_of and quotient_by_image),
+with images_agree, the image comparison exact_by_kernel reads, as it
+stood in the package.  herbrand_log
 predicts the ratio of Tate group orders from ranks alone, and
 diagonal_matrix writes out the diagonal a Smith form stands for.
 """
@@ -60,7 +61,6 @@ from cyclomod.modules import (
     ModuleHom,
     direct_sum,
     free_module,
-    images_agree,
     kernel_of,
     quotient_by_image,
     PresentedModule,
@@ -73,6 +73,7 @@ from cyclomod.modules import (
     _Model,
     _orbits,
     _quotient_model,
+    _span_dvals,
     _torsion_columns,
 )
 
@@ -753,10 +754,10 @@ def free_summands_by_hom_scan(module):
         free_rank += 1
 
 
-def stably_isomorphic_by_padding(m1, m2, search=None):
+def stably_isomorphic_by_padding(m1, m2, search=None, max_pad=3):
     """oracle.stably_isomorphic as it searched the padded modules M + Lambda^a
-    and N + Lambda^b, for each compatible (a, b) up to max_free_rank in
-    order of a + b, until a definitive answer."""
+    and N + Lambda^b, for each compatible (a, b) up to max_pad, the budget
+    it had, in order of a + b, until a definitive answer."""
     search = search or IsoSearchConfig()
     d = m1.cfg.order
     r1, r2 = m1.zp_rank(), m2.zp_rank()
@@ -764,7 +765,7 @@ def stably_isomorphic_by_padding(m1, m2, search=None):
         return NotStablyIsomorphic("rank difference")
     if _tate_mismatch(m1, m2):
         return NotStablyIsomorphic("cohomology")
-    bound = range(search.max_free_rank + 1)
+    bound = range(max_pad + 1)
     pads = sorted(
         ((a, b) for a in bound for b in bound if r1 + a * d == r2 + b * d),
         key=lambda ab: (ab[0] + ab[1], ab[0]),
@@ -795,6 +796,21 @@ def surjective_by_quotient(hom):
 def finite_index_by_quotient(hom):
     """Finite index of the image, as lemma2_pipeline read it off the cokernel."""
     return quotient_by_image(hom).module.zp_rank() == 0
+
+
+def images_agree(h1, h2):
+    """Whether two homs into the same module have the same image.
+
+    Decided on lattices: with T the target's torsion lattice, the image
+    lattice of each hom (plus T) is compared against the joint span.
+    Matching Smith invariants force equality for a sublattice of its
+    own saturation, so agreement in both directions is conclusive.
+    """
+    if h1.target is not h2.target:
+        raise ValueError("images live in different modules")
+    t, a, b = h1.target, h1.matrix, h2.matrix
+    d1, d2, d12 = _span_dvals(t, a), _span_dvals(t, b), _span_dvals(t, a, b)
+    return d1 == d12 and d2 == d12
 
 
 def exact_by_kernel(inner, outer):

@@ -226,11 +226,20 @@ def test_verify_machine_report_deterministic(capsys):
 
 
 def test_verify_capped_search_exits_two(capsys):
-    code, out, _ = run(
-        capsys, "--format", "machine", "--max-free-rank", "0", "verify", "theorem1"
-    )
+    argv = ["--enum-bound", "0", "--max-samples", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "machine", "verify", "yakovlev")
     assert code == 2
     assert json.loads(out)["status"] == "undecided"
+
+
+def test_a_lemma3_search_that_gives_up_exits_two(capsys):
+    # The detail says Undecided, and so do the status and the exit code.
+    argv = ["--p", "3", "--n", "1", "--enum-bound", "0", "--max-samples", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "machine", "verify", "lemma3")
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "undecided" and doc["counts"]["fail"] == 0
+    gave_up = [c for c in doc["checks"] if c.get("detail", "").startswith("Undecided:")]
+    assert gave_up and all(c["status"] == "undecided" for c in gave_up)
 
 
 @pytest.mark.parametrize("suite", ["splitting", "lemma2", "negative"])

@@ -260,7 +260,6 @@ def _check_reduce(mod, rng) -> int:
     return nontrivial
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", REDUCE_GROUPS, ids=[f"p{p}n{n}" for p, n, _ in REDUCE_GROUPS])
 def test_reduce_is_linear_and_ignores_the_denominator(group):
     # reduce() reads coordinates off any representative; these are the
@@ -281,7 +280,6 @@ def test_reduce_is_linear_and_ignores_the_denominator(group):
 PRECISION_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (5, 1, 10)]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize(
     "group", PRECISION_GROUPS, ids=[f"p{p}n{n}" for p, n, _ in PRECISION_GROUPS]
 )
@@ -401,7 +399,6 @@ def test_shared_cores_die_with_their_modules(cores):
 HERBRAND_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", HERBRAND_GROUPS)
 def test_tate_orders_match_the_herbrand_quotient(group):
     # sum inv H^0 - sum inv H^1 at every level, against ranks of fixed
@@ -461,7 +458,6 @@ def _agrees_with_relation_system(module, degree, level, rng) -> bool:
     return True
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", HERBRAND_GROUPS)
 def test_tate_core_matches_the_relation_system(group):
     # Against the frozen relation-system core: equal invariants (or both
@@ -529,7 +525,6 @@ def _agrees_with_the_unsplit_core(module, degree, level, rng, monkeypatch):
     return [part.boundary.g for part in parts]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", HERBRAND_GROUPS)
 def test_split_cores_match_the_unsplit_model(group, monkeypatch):
     # Block-diagonal models against their core taken whole: equal
@@ -555,7 +550,6 @@ def test_split_cores_match_the_unsplit_model(group, monkeypatch):
     assert len(split) >= 2 * c.n and any(len(set(d)) > 1 for d in split)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", [(3, 2, 12), (2, 3, 12)])
 def test_a_change_of_basis_keeps_the_invariants(group):
     # A random unimodular conjugate U sigma U^-1 of ideal + J1 + Lambda
@@ -583,7 +577,6 @@ def test_a_change_of_basis_keeps_the_invariants(group):
     assert np.array_equal(iso.forward.compose(inverse).matrix, linalg.eye(ctx, m))
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_margin_error_names_the_precision_needed():
     # C8 ideal: a level-3 boundary kernel has a divisor of valuation 6.
     with pytest.raises(PrecisionExhausted, match="needed N >= 9"):

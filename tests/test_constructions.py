@@ -93,8 +93,7 @@ def test_extension_data_rejects_infinite_kernels_and_misshapen_tables():
 
 
 # (p, n, precision) of the groups the check is compared on, 7^11 on the
-# limb-split int64 products; the configurations are built inside the test, where
-# the p = 2 warning is filtered.
+# limb-split int64 products.
 CHECK_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10), (7, 1, 11)]
 CHECK_KERNELS = ["Z/p", "Z/p^2", "ring/p", "ring/p+Z/p^2"]
 
@@ -141,7 +140,6 @@ def cocycle_tables(draw, group):
     return kernel, table
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", CHECK_GROUPS, ids=lambda g: "p%dn%d" % g[:2])
 @settings(max_examples=40)
 @given(data=st.data())

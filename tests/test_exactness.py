@@ -54,7 +54,6 @@ from _seeded_lattices import lattices, seeded
 
 CONFIGS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
 C31 = GroupConfig(3, 1, 11)
-pytestmark = pytest.mark.filterwarnings("ignore:p = 2")
 
 
 def _finite_index(hom):

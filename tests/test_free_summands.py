@@ -21,7 +21,6 @@ from _oracles import free_summands_by_hom_scan, stably_isomorphic_by_padding
 from _seeded_lattices import SEEDS, lattices, plus_free, seeded
 
 CONFIGS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
-pytestmark = pytest.mark.filterwarnings("ignore:p = 2")
 
 
 def _with_torsion(cfg):
@@ -78,6 +77,16 @@ def test_stable_comparison_matches_the_padding_search(config):
             assert (got.pad_first, got.pad_second) == (want.pad_first, want.pad_second)
         kinds.add(type(got).__name__)
     assert {"StableIso", "NotStablyIsomorphic"} <= kinds
+
+
+@pytest.mark.parametrize("config", [(3, 1, 11), (3, 2, 12)], ids=["p3n1", "p3n2"])
+def test_a_rank_gap_of_four_free_summands_is_decided(config):
+    # No padding budget: the four copies of Lambda are cancelled, however
+    # many there are, and the complements are the ideal itself.
+    cfg = GroupConfig(*config)
+    ideal = augmentation_ideal(cfg)
+    got = stably_isomorphic(plus_free(ideal, 4), ideal)
+    assert isinstance(got, StableIso) and (got.pad_first, got.pad_second) == (0, 4)
 
 
 def test_theorem1_compares_once_at_the_stripped_size(monkeypatch):

@@ -284,7 +284,6 @@ def _cohomology_maps(tmp_path):
     assert cli.main(["--format", "machine", "cohomology", "--maps", path]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_workload_smith_calls_match_the_full_width_kernel(monkeypatch, tmp_path):
     # Every elimination of three workload-shaped runs, including the wide
     # Tate coordinate relations (r x (m + t + r), r <= m) that the cases

@@ -36,7 +36,6 @@ from cyclomod.modules import (
     free_cover,
     free_module,
     identity_hom,
-    images_agree,
     kernel_of,
     minimal_generators,
     quotient_by_image,
@@ -54,6 +53,7 @@ from _oracles import (
     cokernel_valuations_mod_pN,
     expanded_relation_lattice,
     fixed_space_rank,
+    images_agree,
     orbits_by_column,
     submodule_by_probe,
     synthesized_relations,
@@ -241,7 +241,6 @@ def _random_coefficient(c, rng):
     return vals, vals
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_presentation_invariants_match_oracle():
     checked = 0
     for group in PRESENTATION_GROUPS:
@@ -325,7 +324,6 @@ def _oracle_fixed_rank(module):
     return fixed_space_rank(c.p ** (c.precision - depth), block, c.order)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("p, n", ORACLE_GROUPS)
 def test_fixed_point_rank_matches_character_oracle(p, n):
     for seed in ORACLE_SEEDS:
@@ -335,7 +333,6 @@ def test_fixed_point_rank_matches_character_oracle(p, n):
             assert got == _oracle_fixed_rank(module), (seed, module)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_minimal_generators_are_the_greedy_unit_vectors():
     # Greedy definition: unit vector e_j is picked when it raises the
     # mod-p rank of the image of sigma - 1 plus the vectors picked so far.
@@ -356,7 +353,6 @@ def test_minimal_generators_are_the_greedy_unit_vectors():
                 assert got == want, (p, n, seed)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("p, n", ORACLE_GROUPS)
 def test_submodule_invariants_do_not_depend_on_precision(p, n):
     for seed in PRECISION_SEEDS:
@@ -543,7 +539,6 @@ def _probe_cases(ambient, rng):
     return sets, homs
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", PROBE_GROUPS)
 def test_submodules_match_the_probe_construction(group):
     # Bit for bit as the construction that always eliminated twice, with
@@ -603,7 +598,6 @@ def _stable_sets(cfg, ambient, rng=None):
     return [orbit, [cfg.p * y for y in orbit], orbit + [cfg.p * x]]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", PROBE_GROUPS + [(11, 1, 11)])
 def test_sigma_stable_element_sets_take_their_own_lattice(group, monkeypatch):
     # Each set is built on its own lattice, with the frozen orbit
@@ -650,7 +644,6 @@ def test_a_set_whose_own_lattice_meets_the_guard_band_takes_its_orbits(monkeypat
     assert [own for own, *_ in routes] == [False] and got.module.invariant_summary() == (3, ())
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group, a", [((3, 1, 11), 1), ((3, 2, 12), 2), ((2, 2, 12), 2)])
 def test_submodules_of_a_lifted_presentation_match_the_probe_construction(group, a):
     # The centered lift of Lambda / p^a (sigma - 1) is no module at N + 1
@@ -724,8 +717,9 @@ def _assert_same_lattice(got, want):
 
 
 def _routes(monkeypatch, caller="kernel_of"):
-    """Record each submodule built for caller as (own, ambient, columns,
-    names, submodule): own says the columns' own lattice gave it, read
+    """Record each submodule built for caller (for every caller when it
+    is None) as (own, ambient, columns, names, submodule): own says the
+    columns' own lattice gave it, read
     from the widths of the eliminations _submodule hands linalg.smith,
     k + t columns on its own lattice and k d + t on the orbits (t the
     ambient's torsion columns)."""
@@ -740,7 +734,7 @@ def _routes(monkeypatch, caller="kernel_of"):
     def submodule(ambient, columns, names=None):
         widths.clear()
         sub = real_submodule(ambient, columns, names)
-        if sys._getframe(1).f_code.co_name == caller:
+        if caller in (None, sys._getframe(1).f_code.co_name):
             t = ambient.torsion_column_matrix().shape[1]
             own = columns.shape[1] * ambient.cfg.order + t not in widths
             routes.append((own, ambient, columns, names, sub))
@@ -751,7 +745,6 @@ def _routes(monkeypatch, caller="kernel_of"):
     return routes
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", [(3, 1, 11), (3, 2, 12), (2, 2, 12), (5, 1, 10), (11, 1, 11)])
 def test_kernels_from_their_own_lattice_match_the_probe_construction(group, monkeypatch):
     # Lattice by lattice as the construction that expanded the kernel
@@ -809,7 +802,6 @@ def test_kernels_into_a_lifted_presentation_fall_back_to_the_orbits(group, a, mo
         assert owns == {True, False}
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("group", [(3, 1, 11), (3, 2, 12), (2, 3, 12), (5, 1, 10), (11, 1, 11)])
 def test_kernels_of_sources_with_torsion_match_the_element_route(group, monkeypatch):
     # Bit for bit as the frozen construction on the orbits of the same
@@ -846,6 +838,19 @@ def test_the_chain_and_the_splitting_battery_expand_no_kernel_orbits(monkeypatch
     routes = _routes(monkeypatch)
     assert theorem1_verify(_pipeline_input("J1+ideal+free", GroupConfig(3, 2, 12))).passed
     assert suite_splitting().status == "pass"
+    assert routes and all(own for own, *_ in routes)
+
+
+def test_the_theorem1_chains_build_every_submodule_on_its_own_lattice(monkeypatch):
+    # The four input shapes at C9 and C8: the free witnesses are quotiented
+    # out through the hom from Lambda^rank, so no submodule of the chains,
+    # kernel or element set, J_1 and the ideal included, expands orbits.
+    j_module.cache_clear()
+    augmentation_ideal.cache_clear()
+    routes = _routes(monkeypatch, caller=None)
+    for group in [(3, 2, 12), (2, 3, 12)]:
+        for shape in ("ideal", "ideal+free", "J1+ideal", "J1+ideal+free"):
+            assert theorem1_verify(_pipeline_input(shape, GroupConfig(*group))).passed
     assert routes and all(own for own, *_ in routes)
 
 

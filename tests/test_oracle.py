@@ -79,7 +79,6 @@ def _pairs(cfg, seed):
     return [(a, b), (b, a), (a, a), (a, z), (z, b)]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "p%dn%dN%d" % c)
 def test_generator_images_span_the_entrywise_hom_space(config):
     cfg = GroupConfig(*config)

@@ -121,7 +121,7 @@ from cyclomod.suites import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (p, n, precision); built inside the test, where the p = 2 warning is filtered
+# (p, n, precision) of the groups the CLI goldens run at
 CLI_GROUPS = {"p11n1": (11, 1, 11), "p7n1": (7, 1, 11), "p3n2": (3, 2, 12), "p2n3": (2, 3, 12)}
 CLI_DOCUMENTS = {
     "J1": lambda c: j_module(c, 1),
@@ -147,14 +147,12 @@ CLI_CASES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("suite", sorted(ALL_SUITES))
 def test_machine_report_matches_golden(suite):
     got = fileio.machine_report(ALL_SUITES[suite]().to_dict())
     assert got == (GOLDEN / f"{suite}.json").read_text()
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("stem,tag,argv", CLI_CASES, ids=[s for s, _, _ in CLI_CASES])
 def test_cli_machine_output_matches_golden(tmp_path, capsys, stem, tag, argv):
     docs = {}
@@ -210,7 +208,6 @@ def extension_documents() -> str:
     return fileio.machine_report(docs)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_extension_documents_match_golden():
     assert extension_documents() == (GOLDEN / "extensions.json").read_text()
 
@@ -261,6 +258,5 @@ def module_documents() -> str:
     return fileio.machine_report(docs)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 def test_module_documents_match_golden():
     assert module_documents() == (GOLDEN / "modules.json").read_text()

@@ -11,11 +11,13 @@ from cyclomod import fileio
 from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.constructions import j_module
 from cyclomod.errors import PreconditionViolated
+from cyclomod.oracle import Iso, StableIso
 from cyclomod.suites import (
     ALL_SUITES,
     CONFIG_31,
     CheckResult,
     SuiteReport,
+    _Collector,
     suite_axioms,
     suite_lemma2,
     suite_lemma3,
@@ -26,6 +28,8 @@ from cyclomod.suites import (
     suite_theorem1,
     suite_yakovlev,
 )
+from cyclomod.verdicts import NotIsomorphic, NotStablyIsomorphic, Undecided
+from cyclomod.yakovlev import DiagramIso
 
 
 def test_registry_names():
@@ -57,6 +61,29 @@ def test_status_precedence():
     assert SuiteReport("probe", {}, ()).status == "pass"
 
 
+@pytest.mark.parametrize(
+    "verdict, if_witness, if_refutation",
+    [
+        (Iso(None, None), "pass", "fail"),
+        (StableIso(0, 1, None), "pass", "fail"),
+        (DiagramIso(()), "pass", "fail"),
+        (NotIsomorphic("r"), "fail", "pass"),
+        (NotStablyIsomorphic("r"), "fail", "pass"),
+        (Undecided("r"), "undecided", "undecided"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+def test_one_status_rule_for_every_verdict(verdict, if_witness, if_refutation):
+    col = _Collector()
+    col.add_verdict("witness", verdict, True)
+    col.add_verdict("refutation", verdict, False, "own detail")
+    got = [(c.name, c.status) for c in col.checks]
+    assert got == [("witness", if_witness), ("refutation", if_refutation)]
+    reason = f": {verdict.reason}" if hasattr(verdict, "reason") else ""
+    assert col.checks[0].detail == type(verdict).__name__ + reason
+    assert col.checks[1].detail == "own detail"
+
+
 def test_report_dict_shape():
     report = suite_prop4()
     doc = report.to_dict()
@@ -80,7 +107,6 @@ def test_lemma3_at_order_25():
     assert report.counts["pass"] == len(report.checks)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize(
     "p, n, precision",
     [(3, 1, 40), (3, 1, 41), (3, 1, 42), (3, 1, 43), (3, 1, 44), (2, 1, 64), (5, 1, 28)],
@@ -143,11 +169,21 @@ def test_theorem1_cases_pass():
     assert report.status == "pass"
 
 
-def test_theorem1_capped_search_goes_undecided():
-    capped = suite_theorem1(search=IsoSearchConfig(max_free_rank=0))
+# One sample and no enumeration: the searches give up on the pairs that
+# need one, and those checks go undecided, none of them fail.
+GIVE_UP = IsoSearchConfig(enumeration_bound=0, max_samples=1)
+
+
+def test_a_lemma3_search_that_gives_up_is_undecided():
+    capped = suite_lemma3(configs=(CONFIG_31,), search=GIVE_UP)
     assert capped.status == "undecided"
     assert capped.counts["fail"] == 0
-    assert capped.counts["undecided"] == 2
+
+
+def test_a_splitting_search_that_gives_up_is_undecided():
+    capped = suite_splitting(search=GIVE_UP)
+    assert capped.status == "undecided"
+    assert capped.counts["fail"] == 0
 
 
 def test_yakovlev_cross_check_passes():

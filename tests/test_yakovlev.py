@@ -194,7 +194,6 @@ def _reloaded(module, path):
     return fileio.load_file(path)
 
 
-@pytest.mark.filterwarnings("ignore:p = 2")
 @pytest.mark.parametrize("p,n,precision", [(3, 2, 12), (2, 3, 12)])
 def test_found_isomorphism_commutes_with_every_map(tmp_path, p, n, precision):
     """ideal + Z/p + Z/p^2 against Z/p^2 + ideal + Z/p, through documents:
