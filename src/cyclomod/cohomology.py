@@ -22,7 +22,8 @@ reads: the boundary kernel system (column transform), its kernel, the
 numerator Z, whose row transform gives Z coordinates of its own, and
 the denominator in those coordinates (row transforms).  The boundary
 image and the torsion lattice lie in Z, and the noise block enters cut
-down to Z, so reduce() is a product, a divisibility test and a product.
+down to Z, so reducing a block of numerator columns is a product, a
+divisibility test and a product.
 
 The eliminations read only the configuration, the degree's parity,
 the level and the model (moduli and sigma).  A model that splits into
@@ -33,8 +34,9 @@ model's floor N - g.  So eliminations are shared per block: a weak
 table keyed on a block's content hands each new group the first two
 eliminations of any live block with that key, and the third of any
 with that key and floor; an entry goes when the last module using it
-does.  Groups themselves stay per module, so generators belong to
-their module and maps between groups still compare groups by identity.
+does.  Groups stay per module, each with its generators as one array in
+its module's canonical coordinates, whose images a map reduces as one
+block; maps between groups still compare groups by identity.
 
 Restriction and corestriction are realized on representatives.  With
 nu(j, i) the sum of sigma^(t * p^(n-j)) over 0 <= t < p^(j-i), i.e. the
@@ -49,6 +51,7 @@ These satisfy cor after res = p^(j-i) and res after cor = action of nu.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from . import linalg
 from .arith import GroupRingElement, sigma_power, subgroup_norm
 from .config import GroupConfig
 from .errors import CyclomodError, PrecisionExhausted, PreconditionViolated
-from .modules import ElementVector, ModuleHom, PresentedModule, _torsion_columns
+from .modules import ElementVector, ModuleHom, PresentedModule, _canon_rows, _torsion_columns
 
 __all__ = [
     "TateGroup",
@@ -123,7 +126,7 @@ class _TateCore:
         picked = [k for k, _ in slots]
         self.rows = sm.left[picked, :]
         gens = (sm.left_inv[:, picked] * self.scale) % ctx.modulus
-        self.generator_coords = list(linalg.matmul(ctx, zsm.left_inv[:, :r], gens).T)
+        self.generator_matrix = linalg.matmul(ctx, zsm.left_inv[:, :r], gens)
 
     def coords(self, x: np.ndarray) -> np.ndarray | None:
         """(left x)_i / p^(e_i), the Z coordinates of the columns of x, or
@@ -145,10 +148,10 @@ class _SumCore:
         self.invariants = tuple(-v for v, _, _ in slots)
         offsets = np.cumsum([0] + [len(c.scale) for c in parts])
         self.rows = linalg.zeros(self.ctx, len(slots), offsets[-1])
-        self.generator_coords = [np.zeros(bounds[-1], dtype=self.ctx.dtype) for _ in slots]
+        self.generator_matrix = linalg.zeros(self.ctx, bounds[-1], len(slots))
         for i, (_, b, k) in enumerate(slots):
             self.rows[i, offsets[b] : offsets[b + 1]] = parts[b].rows[k]
-            self.generator_coords[i][bounds[b] : bounds[b + 1]] = parts[b].generator_coords[k]
+            self.generator_matrix[bounds[b] : bounds[b + 1], i] = parts[b].generator_matrix[:, k]
 
     def coords(self, x: np.ndarray) -> np.ndarray | None:
         zs = [c.coords(x[lo:hi]) for c, lo, hi in zip(self.parts, self.bounds, self.bounds[1:])]
@@ -212,11 +215,11 @@ class TateGroup:
     """A Tate cohomology group with explicit generators and reduction.
 
     invariants lists the exponents e of the Z/p^e cyclic summands,
-    largest first; generators[k] is a module element representing the
-    k-th summand's generator; reduce() rewrites any representative that
-    lies in the numerator as coordinates with respect to the summands.
-    The eliminations live in cores shared per diagonal block of the
-    model; the group binds the generators to its own module.
+    largest first; column k of generator_matrix holds the canonical
+    model coordinates of the k-th summand's generator, and generators
+    makes the columns module elements when first read; reduce() rewrites
+    a numerator representative as coordinates with respect to the
+    summands.  The eliminations live in cores shared per diagonal block.
     """
 
     def __init__(self, module: PresentedModule, degree: int, level: int):
@@ -225,16 +228,33 @@ class TateGroup:
         self.level = level
         if level == 0:
             self.invariants = ()
-            self.generators = []
+            self.generator_matrix = linalg.zeros(module.ctx, module.model_dim, 0)
             return
         self._core = _core(module, degree, level)
         self.invariants = self._core.invariants
-        self.generators = [
-            module.element_from_model_coords(c) for c in self._core.generator_coords
-        ]
+        self.generator_matrix = _canon_rows(module.ctx, self._core.generator_matrix, module.moduli)
+
+    @cached_property
+    def generators(self) -> list:
+        return [self.module.element_from_model_coords(c) for c in self.generator_matrix.T]
 
     def is_trivial(self) -> bool:
         return not self.invariants
+
+    def _classes(self, cols: np.ndarray) -> np.ndarray:
+        """Summand coordinates of a block of model columns, one int64 column
+        each; PreconditionViolated if a column is outside the numerator."""
+        if self.level == 0:
+            return np.zeros((0, cols.shape[1]), dtype=np.int64)
+        core, module = self._core, self.module
+        z = core.coords(_canon_rows(module.ctx, cols, module.moduli))
+        if z is None:
+            raise PreconditionViolated(
+                "element is not in the numerator of this cohomology group"
+            )
+        y = linalg.matmul(core.ctx, core.rows, z)
+        orders = np.array([module.cfg.p**f for f in self.invariants], dtype=y.dtype)
+        return (y % orders[:, None]).astype(np.int64)
 
     def reduce(self, elt: ElementVector) -> tuple:
         """Coordinates of a numerator element with respect to the summands.
@@ -242,19 +262,9 @@ class TateGroup:
         Raises PreconditionViolated if the element does not represent a
         class (is not killed by the relevant operator).
         """
-        if self.level == 0:
-            return ()
-        if elt.module is not self.module:
+        if self.level and elt.module is not self.module:
             raise ValueError("element belongs to a different module")
-        core = self._core
-        z = core.coords(elt.column())
-        if z is None:
-            raise PreconditionViolated(
-                "element is not in the numerator of this cohomology group"
-            )
-        y = linalg.matmul(core.ctx, core.rows, z)
-        p = self.module.cfg.p
-        return tuple(int(v) % p**f for v, f in zip(y[:, 0], self.invariants))
+        return tuple(map(int, self._classes(elt.column())[:, 0]))
 
     def __repr__(self) -> str:
         p = self.module.cfg.p
@@ -320,23 +330,10 @@ class CohomMap:
         """Build the induced map from a matrix acting on module models.
 
         The matrix must send the source numerator into the target
-        numerator; reduce() raises otherwise.
+        numerator; PreconditionViolated is raised otherwise.
         """
-        ctx = target.module.ctx
-
-        def image(gen: ElementVector) -> ElementVector:
-            col = linalg.matmul(ctx, rep_matrix, gen.column())
-            return target.module.element_from_model_coords(col.ravel())
-
-        return cls._from_images(source, target, image)
-
-    @classmethod
-    def _from_images(cls, source: TateGroup, target: TateGroup, image) -> "CohomMap":
-        """The map whose column j is target.reduce(image(generator j))."""
-        mat = np.zeros((len(target.invariants), len(source.invariants)), dtype=np.int64)
-        for j, gen in enumerate(source.generators):
-            mat[:, j] = target.reduce(image(gen))
-        return cls(source, target, mat)
+        images = linalg.matmul(target.module.ctx, rep_matrix, source.generator_matrix)
+        return cls(source, target, target._classes(images))
 
     @classmethod
     def scalar(cls, group: TateGroup, c: int) -> "CohomMap":
@@ -492,9 +489,9 @@ def connecting_iso(
             "solve denominators leave too little headroom for the class "
             "coordinates; raise the working precision"
         )
-
-    def image(gen: ElementVector) -> ElementVector:
-        lifted = linalg.solve(ctx, lift_sys, gen.column(), sm=sm_lift)
+    images = linalg.zeros(ctx, a_mod.model_dim, len(src.invariants))
+    for j in range(len(src.invariants)):
+        lifted = linalg.solve(ctx, lift_sys, src.generator_matrix[:, j : j + 1], sm=sm_lift)
         if lifted is None:
             raise PreconditionViolated("proj misses a cohomology representative")
         moved = linalg.matmul(ctx, op, lifted[: mid.model_dim, :])
@@ -503,6 +500,5 @@ def connecting_iso(
             raise PreconditionViolated(
                 "boundary of a lifted representative escapes the image of inc"
             )
-        return a_mod.element_from_model_coords(pulled[: a_mod.model_dim, :].ravel())
-
-    return CohomMap._from_images(src, tgt, image)
+        images[:, j] = pulled[: a_mod.model_dim, 0]
+    return CohomMap(src, tgt, tgt._classes(images))

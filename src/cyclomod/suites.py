@@ -128,12 +128,13 @@ class _Collector:
         """Record a search verdict: pass when its truth value is expect,
         undecided when the search gave up, else fail.  Iso, StableIso and
         DiagramIso are true, every other verdict false.  The detail is
-        _verdict_detail(verdict) unless one is given."""
+        _verdict_detail(verdict) unless a pass is given one."""
         if isinstance(verdict, Undecided):
             status = UNDECIDED
         else:
             status = PASS if bool(verdict) == expect else FAIL
-        detail = _verdict_detail(verdict) if detail is None else detail
+        if status != PASS or detail is None:
+            detail = _verdict_detail(verdict)
         self.checks.append(CheckResult(name, status, detail))
 
     def guarded(self, name: str, fn):
@@ -589,7 +590,7 @@ def suite_yakovlev(search: IsoSearchConfig | None = None) -> SuiteReport:
                 sv = stably_isomorphic(m1, m2, search)
                 name = f"{n1}.vs.{n2}"
                 if agree:
-                    col.add_verdict(name, sv, True, "agree, stable iso found" if sv else None)
+                    col.add_verdict(name, sv, True, "agree, stable iso found")
                 else:
                     col.add(
                         name,

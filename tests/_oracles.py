@@ -16,7 +16,11 @@ as it ran entry by entry (these two call the package's linear algebra),
 synthesized_relations, the relation array of a derived module as it
 was built eagerly with the module, and tate_core_by_relations, a Tate
 group's eliminations and reduce() as they ran on the relation system of
-numerator against denominator generators, and search_invertible_in_full,
+numerator against denominator generators, map_by_generators,
+connecting_map_by_generators and reduce_by_element, the maps between
+Tate groups as they were built one generator at a time, each image made
+a module element and reduced by itself (these read a group's core), and
+search_invertible_in_full,
 the search as it tried every nonzero mod-p combination of an enumerated
 span (this one calls the package's pivot_cols_mod_p), and
 submodule_by_probe, a submodule as it was built by a probe elimination
@@ -46,7 +50,8 @@ import numpy as np
 
 from cyclomod import linalg
 from cyclomod.arith import sigma_power, subgroup_norm
-from cyclomod.errors import CyclomodError, PrecisionExhausted
+from cyclomod.cohomology import canon_map_matrix, tate
+from cyclomod.errors import CyclomodError, PrecisionExhausted, PreconditionViolated
 from cyclomod.config import GroupConfig, IsoSearchConfig
 from cyclomod.oracle import (
     FreeSummandReport,
@@ -619,6 +624,69 @@ def tate_core_by_relations(module, degree, level):
         ker=ker,
         reduce=reduce,
     )
+
+
+def reduce_by_element(group, elt) -> tuple:
+    """The summand coordinates of one numerator element of a Tate group."""
+    if group.level == 0:
+        return ()
+    if elt.module is not group.module:
+        raise ValueError("element belongs to a different module")
+    core = group._core
+    z = core.coords(elt.column())
+    if z is None:
+        raise PreconditionViolated("element is not in the numerator of this cohomology group")
+    y = linalg.matmul(core.ctx, core.rows, z)
+    p = group.module.cfg.p
+    return tuple(int(v) % p**f for v, f in zip(y[:, 0], group.invariants))
+
+
+def _by_generators(source, target, image):
+    """The map matrix whose column j is the reduced image of generator j."""
+    mat = np.zeros((len(target.invariants), len(source.invariants)), dtype=np.int64)
+    for j, gen in enumerate(source.generators):
+        mat[:, j] = reduce_by_element(target, image(gen))
+    return canon_map_matrix(mat, target.module.cfg.p, target.invariants)
+
+
+def map_by_generators(source, target, rep_matrix):
+    """The matrix of the map rep_matrix induces from source to target."""
+    ctx = target.module.ctx
+
+    def image(gen):
+        col = linalg.matmul(ctx, rep_matrix, gen.column())
+        return target.module.element_from_model_coords(col.ravel())
+
+    return _by_generators(source, target, image)
+
+
+def connecting_map_by_generators(inc, proj, degree, level):
+    """The matrix of connecting_iso(inc, proj, degree, level), without its
+    checks of the sequence and of the headroom."""
+    mid, a_mod, c_mod = proj.source, inc.source, proj.target
+    cfg, ctx = mid.cfg, mid.ctx
+    if degree % 2 == 0:
+        step = sigma_power(cfg, cfg.p ** (cfg.n - level))
+        op = (mid.act_matrix(step) - linalg.eye(ctx, mid.model_dim)) % ctx.modulus
+    else:
+        op = mid.act_matrix(subgroup_norm(cfg, level))
+    lift_sys = linalg.hstack(ctx, [proj.matrix, c_mod.torsion_column_matrix()])
+    pull_sys = linalg.hstack(ctx, [inc.matrix, mid.torsion_column_matrix()])
+    sm_lift, sm_pull = linalg.smith(ctx, lift_sys), linalg.smith(ctx, pull_sys)
+
+    def image(gen):
+        lifted = linalg.solve(ctx, lift_sys, gen.column(), sm=sm_lift)
+        if lifted is None:
+            raise PreconditionViolated("proj misses a cohomology representative")
+        moved = linalg.matmul(ctx, op, lifted[: mid.model_dim, :])
+        pulled = linalg.solve(ctx, pull_sys, moved, sm=sm_pull)
+        if pulled is None:
+            raise PreconditionViolated(
+                "boundary of a lifted representative escapes the image of inc"
+            )
+        return a_mod.element_from_model_coords(pulled[: a_mod.model_dim, :].ravel())
+
+    return _by_generators(tate(c_mod, degree, level), tate(a_mod, degree + 1, level), image)
 
 
 def herbrand_log(module, level):

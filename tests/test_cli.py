@@ -242,6 +242,16 @@ def test_a_lemma3_search_that_gives_up_exits_two(capsys):
     assert gave_up and all(c["status"] == "undecided" for c in gave_up)
 
 
+def test_every_undecided_splitting_check_says_why(capsys):
+    # The spot checks give a detail for a pass only; an undecided one
+    # reads the verdict's reason.
+    argv = ["--enum-bound", "0", "--max-samples", "1", "--format", "machine"]
+    code, out, _ = run(capsys, *argv, "verify", "splitting")
+    undecided = [c for c in json.loads(out)["checks"] if c["status"] == "undecided"]
+    assert code == 2 and "split.p3.is_split_sum" in {c["name"] for c in undecided}
+    assert all(c.get("detail", "").startswith("Undecided: ") for c in undecided)
+
+
 @pytest.mark.parametrize("suite", ["splitting", "lemma2", "negative"])
 def test_verify_offers_every_battery(capsys, suite):
     code, out, _ = run(capsys, "--format", "machine", "verify", suite)

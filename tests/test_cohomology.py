@@ -11,6 +11,7 @@ from cyclomod import cohomology, linalg
 from cyclomod.arith import sigma_power, subgroup_norm
 from cyclomod.cohomology import (
     CohomMap,
+    connecting_iso,
     coset_sum,
     corestriction,
     induced_map,
@@ -23,6 +24,7 @@ from cyclomod.constructions import (
     cocycle_from_section,
     j_module,
     lemma2_pipeline,
+    lemma3_resolution,
     splitting_module,
     theorem1_verify,
 )
@@ -36,6 +38,8 @@ from cyclomod.modules import (
     free_cover,
     free_module,
     kernel_of,
+    minimal_generators,
+    quotient_by_image,
     scalar_action_hom,
     trivial_module,
     zp_trivial,
@@ -47,9 +51,12 @@ from cyclomod.yakovlev import DiagramIso, delta, diagrams_isomorphic
 from _oracles import (
     FiniteModule,
     brute_tate_invariants,
+    connecting_map_by_generators,
     herbrand_log,
+    map_by_generators,
     tate_core_by_relations,
 )
+from _seeded_lattices import lattices
 
 
 def cfg(p=3, n=1, precision=8):
@@ -127,6 +134,41 @@ def test_reduce_rejects_elements_outside_numerator():
     assert not g.act(sigma_power(c, 1) - sigma_power(c, 0)).is_zero()
     with pytest.raises(PreconditionViolated):
         h0.reduce(g)
+
+
+def test_a_map_off_the_target_numerator_is_refused():
+    # H^0 of trivial Zp into H^0 of Lambda, whose numerator is Zp N_G:
+    # the generator 1 goes to sigma^0, which sigma does not fix.
+    c = cfg(n=1, precision=8)
+    z, lam = zp_trivial(c), free_module(c, 1)
+    rep = linalg.zeros(lam.ctx, lam.model_dim, z.model_dim)
+    rep[0, 0] = 1
+    with pytest.raises(PreconditionViolated, match="^element is not in the numerator of this"):
+        CohomMap.from_representative_matrix(tate(z, 0, 1), tate(lam, 0, 1), rep)
+
+
+def _augmentation(lam, target, scale):
+    return ModuleHom.from_generator_images(lam, target, [scale * target.generator(0)])
+
+
+def test_a_connecting_map_whose_proj_misses_a_representative_is_refused():
+    # Lambda -(sigma - 1)-> Lambda -(p augmentation)-> Zp: the class of 1
+    # in H^0(Zp) has no preimage.
+    c = cfg(n=1, precision=8)
+    lam, z = free_module(c, 1), zp_trivial(c)
+    inc = scalar_action_hom(lam, sigma_power(c, 1) - sigma_power(c, 0))
+    with pytest.raises(PreconditionViolated, match="^proj misses a cohomology representative$"):
+        connecting_iso(inc, _augmentation(lam, z, c.p), 0, 1)
+
+
+def test_a_connecting_map_whose_boundary_escapes_inc_is_refused():
+    # Lambda -(p (sigma - 1))-> Lambda -(augmentation)-> Zp: a lift of 1
+    # has boundary (sigma - 1) u, u a unit, outside p I.
+    c = cfg(n=1, precision=8)
+    lam, z = free_module(c, 1), zp_trivial(c)
+    inc = scalar_action_hom(lam, c.p * (sigma_power(c, 1) - sigma_power(c, 0)))
+    with pytest.raises(PreconditionViolated, match="^boundary of a lifted representative escapes"):
+        connecting_iso(inc, _augmentation(lam, z, 1), 0, 1)
 
 
 def test_random_finite_modules_match_brute_force():
@@ -508,7 +550,7 @@ def _agrees_with_the_unsplit_core(module, degree, level, rng, monkeypatch):
     # Each set of generators has full rank mod p in the other's coordinates.
     h = np.array([_core_reduce(old, g.column(), exps, c.p) for g in new.generators]).T
     assert linalg.rank_mod_p(c.p, h) == len(exps)
-    old_gens = [module.element_from_model_coords(x) for x in old.generator_coords]
+    old_gens = [module.element_from_model_coords(x) for x in old.generator_matrix.T]
     g = np.array([new.reduce(x) for x in old_gens], dtype=object).T
     assert linalg.rank_mod_p(c.p, g) == len(exps)
     # reduce() of numerator elements, plain and plus p^floor v, agrees up to G.
@@ -602,3 +644,74 @@ def test_theorem1_chain_matches_the_herbrand_quotient():
             h0, h1 = (sum(tate(module, deg, level).invariants) for deg in (0, 1))
             want = herbrand_log(module, level)
             assert h0 - h1 == want == (0 if name == "A" else -level), (name, level)
+
+
+BLOCK_GROUPS = [(3, 1, 11), (3, 2, 12), (2, 2, 12), (2, 3, 12), (5, 1, 10)]
+
+
+@pytest.fixture
+def checked_maps(monkeypatch):
+    """Every map built from representatives, checked against the
+    per-generator builder as it is built; the list of their matrices."""
+    built, block = [], CohomMap.from_representative_matrix.__func__
+
+    def checked(cls, source, target, rep):
+        got = block(cls, source, target, rep)
+        assert got.matrix.dtype == np.int64
+        assert np.array_equal(got.matrix, map_by_generators(source, target, rep))
+        built.append(got.matrix)
+        return got
+
+    monkeypatch.setattr(CohomMap, "from_representative_matrix", classmethod(checked))
+    return built
+
+
+@pytest.mark.parametrize("group", BLOCK_GROUPS)
+def test_maps_match_the_per_generator_builder(group, checked_maps):
+    # Restriction and corestriction at every level pair in both parities,
+    # induced maps of direct-sum injections and projections and of a
+    # quotient projection, and delta's sigma matrices, on seeded lattices.
+    c = GroupConfig(*group)
+    for module in lattices(c):
+        ds = direct_sum(module, trivial_module(c, 1))
+        cover = ModuleHom.from_generator_images(
+            free_module(c, 1), module, minimal_generators(module)[:1]
+        )
+        homs = [*ds.injections, *ds.projections, quotient_by_image(cover).projection]
+        for degree in (0, 1):
+            for j in range(c.n + 1):
+                for i in range(j + 1):
+                    restriction(module, degree, j, i)
+                    corestriction(module, degree, i, j)
+                for hom in homs:
+                    induced_map(hom, degree, j)
+        delta(module)
+    assert len(checked_maps) >= 500 and sum(m.any() for m in checked_maps) >= 200
+
+
+@pytest.mark.parametrize("group", BLOCK_GROUPS)
+def test_pipeline_legs_match_the_per_generator_builder(group, checked_maps):
+    # The three legs of lemma2_pipeline at every level and parity, and
+    # the restrictions and corestrictions its witnesses commute with.
+    c = GroupConfig(*group)
+    for shape in ("ideal", "J1+ideal+free"):
+        lemma2_pipeline(_pipeline_input(shape, c))
+    assert sum(m.any() for m in checked_maps) >= 9 * c.n
+
+
+@pytest.mark.parametrize("group", BLOCK_GROUPS)
+def test_connecting_maps_match_the_per_generator_builder(group):
+    # Both connecting maps of the lemma-3 resolution of Z/p^e by J_e.
+    c = GroupConfig(*group)
+    nonzero = 0
+    for e in (1, 2):
+        res = lemma3_resolution(c, e)
+        for inc, proj in ((res.image.inclusion, res.quotient_map), (res.first, res.onto_image)):
+            for level in range(1, c.n + 1):
+                for degree in (0, 1):
+                    got = connecting_iso(inc, proj, degree, level).matrix
+                    assert got.dtype == np.int64
+                    want = connecting_map_by_generators(inc, proj, degree, level)
+                    assert np.array_equal(got, want)
+                    nonzero += got.any()
+    assert nonzero >= 4 * c.n

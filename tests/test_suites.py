@@ -81,7 +81,9 @@ def test_one_status_rule_for_every_verdict(verdict, if_witness, if_refutation):
     assert got == [("witness", if_witness), ("refutation", if_refutation)]
     reason = f": {verdict.reason}" if hasattr(verdict, "reason") else ""
     assert col.checks[0].detail == type(verdict).__name__ + reason
-    assert col.checks[1].detail == "own detail"
+    # A given detail describes a pass; any other outcome says what the verdict was.
+    own = "own detail" if if_refutation == "pass" else col.checks[0].detail
+    assert col.checks[1].detail == own
 
 
 def test_report_dict_shape():
