@@ -332,6 +332,8 @@ class CohomMap:
         The matrix must send the source numerator into the target
         numerator; PreconditionViolated is raised otherwise.
         """
+        if source.is_trivial():
+            return cls(source, target, np.zeros((len(target.invariants), 0), dtype=np.int64))
         images = linalg.matmul(target.module.ctx, rep_matrix, source.generator_matrix)
         return cls(source, target, target._classes(images))
 

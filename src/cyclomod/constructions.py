@@ -8,8 +8,10 @@ order p^n:
     splitting module: the middle term of the extension by the
     augmentation ideal, realized on explicit coordinates;
   * the submodule family J_e = p^e Zp[G] + Zp N_G with its four-term
-    free resolution and, for e >= n, an explicit isomorphism from
-    Zp (+) augmentation ideal;
+    free resolution (its image module built on first read: exactness
+    at the free line, verified at construction, already makes it the
+    kernel of the quotient map) and, for e >= n, an explicit
+    isomorphism from Zp (+) augmentation ideal;
   * the kernel-of-projection pipeline: from a torsion-free module with
     a distinguished free part and a distinguished class, build the
     finite kernel module A together with degree-preserving cohomology
@@ -338,7 +340,11 @@ class FourTermResolution:
     image is ker(quotient_map) = im(middle) as a submodule of the free
     rank-one module, and onto_image restates middle as a surjection
     onto it; the two short exact sequences obtained this way are the
-    inputs for connecting-map computations.
+    inputs for connecting-map computations.  Both are built on first
+    read, not at construction: exactness at the free line, verified
+    there, already says im(middle) = ker(quotient_map), so middle
+    factors through the image and onto it, and a caller that reads
+    neither pays for neither.
     """
 
     j_mod: PresentedModule
@@ -348,8 +354,21 @@ class FourTermResolution:
     first: ModuleHom
     middle: ModuleHom
     quotient_map: ModuleHom
-    image: Submodule
-    onto_image: ModuleHom
+
+    @functools.cached_property
+    def image(self) -> Submodule:
+        return kernel_of(self.quotient_map)
+
+    @functools.cached_property
+    def onto_image(self) -> ModuleHom:
+        image = self.image
+        onto = linalg.solve(self.free_line.ctx, image.inclusion.matrix, self.middle.matrix)
+        if onto is None:
+            raise CyclomodError("resolution: middle does not factor through its image")
+        onto_image = ModuleHom(self.free_pair, image.module, onto)
+        if not is_surjective(onto_image):
+            raise CyclomodError("resolution: factored middle map failed surjectivity")
+        return onto_image
 
 
 def lemma3_resolution(cfg: GroupConfig, e: int) -> FourTermResolution:
@@ -358,7 +377,9 @@ def lemma3_resolution(cfg: GroupConfig, e: int) -> FourTermResolution:
     Maps: first sends m_t to (-(sigma - 1) sigma^t, p^e sigma^t) and ng
     to (0, N_G); middle sends (alpha, beta) to p^e alpha + (sigma - 1)
     beta; quotient_map is reduction mod (p^e, sigma - 1).  Exactness is
-    verified joint by joint on honest lattices.
+    verified joint by joint on honest lattices.  The image of middle
+    and the surjection onto it are built when first read: exactness at
+    the free line, proven here, is what guarantees them.
     """
     jm = j_module(cfg, e)
     d = cfg.order
@@ -391,13 +412,6 @@ def lemma3_resolution(cfg: GroupConfig, e: int) -> FourTermResolution:
     if not is_surjective(quotient_map):
         raise CyclomodError("resolution: quotient map failed surjectivity")
 
-    image = kernel_of(quotient_map)
-    onto = linalg.solve(jm.ctx, image.inclusion.matrix, middle.matrix)
-    if onto is None:
-        raise CyclomodError("resolution: middle does not factor through its image")
-    onto_image = ModuleHom(lam2, image.module, onto)
-    if not is_surjective(onto_image):
-        raise CyclomodError("resolution: factored middle map failed surjectivity")
     return FourTermResolution(
         j_mod=jm,
         free_pair=lam2,
@@ -406,8 +420,6 @@ def lemma3_resolution(cfg: GroupConfig, e: int) -> FourTermResolution:
         first=first,
         middle=middle,
         quotient_map=quotient_map,
-        image=image,
-        onto_image=onto_image,
     )
 
 

@@ -259,6 +259,31 @@ def test_induced_map_into_trivial_target():
     assert ind.matrix.shape == (0, 1)
 
 
+def test_a_map_out_of_a_trivial_group_makes_no_product(monkeypatch):
+    # Lambda's groups are all zero, so restriction on Lambda and the map
+    # the augmentation Lambda -> Zp induces are empty and need no product,
+    # into a zero group or into Zp's Z/p^level.
+    c = cfg(n=2, precision=9)
+    lam, z = free_module(c, 1), zp_trivial(c)
+    aug = ModuleHom.from_generator_images(lam, z, [z.generator(0)])
+    for module in (lam, z):
+        for degree in (0, 1):
+            for level in (1, 2):
+                tate(module, degree, level)
+    products = []
+    real = linalg.matmul
+
+    def matmul(ctx, a, b):
+        products.append((a.shape, b.shape))
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(linalg, "matmul", matmul)
+    maps = [restriction(lam, 0, 2, 1), induced_map(aug, 0, 2), induced_map(aug, 1, 1)]
+    assert not products
+    assert [m.matrix.shape for m in maps] == [(0, 0), (1, 0), (0, 0)]
+    assert all(m.matrix.dtype == np.int64 for m in maps)
+
+
 REDUCE_GROUPS = [(3, 1, 11), (3, 2, 12), (5, 1, 10), (2, 2, 12), (7, 1, 11)]
 REDUCE_SEEDS = 20
 

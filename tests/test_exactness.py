@@ -9,6 +9,7 @@ must build no module they do not return, and a failing input must still
 raise each check's message.
 """
 
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -164,10 +165,37 @@ def test_the_checks_build_only_returned_modules(shape, group, monkeypatch):
     h_isomorphism(cfg, cfg.n)
     for caller in ("splitting_module", "h_isomorphism", "free_cover"):
         assert calls[caller, "kernel_of"] == calls[caller, "quotient_by_image"] == 0
-    assert calls["lemma3_resolution", "kernel_of"] == 1
+    assert calls["lemma3_resolution", "kernel_of"] == 0
     assert calls["lemma3_resolution", "quotient_by_image"] == 0
     assert calls["lemma2_pipeline", "kernel_of"] == 1
     assert calls["lemma2_pipeline", "quotient_by_image"] == 1 + (data.rank > 0)
+
+
+def test_the_resolution_builds_its_image_once_on_first_read(monkeypatch):
+    # The first read of the image builds one kernel; the surjection onto
+    # it reuses that image, and a second read of either builds nothing.
+    res = lemma3_resolution(C31, 1)
+    calls = _counting(monkeypatch)
+    image = res.image
+    assert sum(calls.values()) == calls["image", "kernel_of"] == 1
+    onto = res.onto_image
+    assert sum(calls.values()) == 1
+    assert res.image is image and res.onto_image is onto
+    assert onto.source is res.free_pair and onto.target is image.module
+    assert image.inclusion.compose(onto).matrix.tolist() == res.middle.matrix.tolist()
+
+
+def test_a_middle_map_off_the_kernel_does_not_factor_through_the_image():
+    # u -> 1, v -> 0 in place of p^e and sigma - 1: 1 is not killed by the
+    # quotient map, so the image, ker(quotient_map), misses it.
+    res = lemma3_resolution(C31, 1)
+    lam = res.free_line
+    off = ModuleHom.from_generator_images(
+        res.free_pair, lam, [lam.element([sigma_power(C31, 0)]), lam.zero()]
+    )
+    hand_built = dataclasses.replace(res, middle=off)
+    with pytest.raises(CyclomodError, match="^resolution: middle does not factor through its image$"):
+        hand_built.onto_image
 
 
 def test_a_quotient_that_is_too_coarse_is_not_exact_at_the_free_line(monkeypatch):

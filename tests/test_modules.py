@@ -905,6 +905,8 @@ def test_the_lemma3_resolution_builds_no_orbit_lattice_of_its_kernels(monkeypatc
     monkeypatch.setattr(linalg, "smith", smith)
     monkeypatch.setattr(linalg, "matmul", matmul)
     monkeypatch.setattr(modules, "_orbits", orbits)
-    lemma3_resolution(GroupConfig(5, 2, 10), 1)
+    res = lemma3_resolution(GroupConfig(5, 2, 10), 1)
+    # The image of Lambda^2 -> Lambda is built on first read, so read it.
+    assert res.onto_image.target is res.image.module
     assert max(cells) <= 50 * 50
     assert gathers and not any(gathers)
